@@ -31,11 +31,11 @@ check:
 
 # check + perf smoke: fail if any kernel regresses >2x vs the committed
 # baseline, then a `spatialdb report` smoke query whose JSON must
-# validate (schema, trace events, plan + cost attribution, finite
-# diagnostics), then a cost-model smoke: `spatialdb explain` of the
-# Figure 1 triangle plus a short progressed sample run, with the plan
-# JSON schema-validated and every executed node required to have a
-# finite actual/predicted ratio, then an observability smoke: a
+# validate (schema, trace events, plan + cost attribution with every
+# executed node's actual/predicted ratio finite, finite diagnostics),
+# then a cost-model smoke: `spatialdb explain` of the Figure 1
+# triangle plus a short progressed sample run, with the plan JSON
+# schema-validated, then an observability smoke: a
 # recorded sample run with structured logging and a Prometheus
 # snapshot, both validated, and the flight record replayed
 # bit-for-bit.  A second recorded run drives the batched multi-chain
@@ -47,7 +47,7 @@ check:
 # stream by design) goes through its own record -> replay round trip.
 # Last, the profiler smoke: a `spatialdb report --engine vm-opt` whose
 # embedded profile and tagged attribution rows must validate, a
-# `spatialdb profile` run whose spatialdb-profile/1 document must
+# `spatialdb profile` run whose profile document must
 # validate, a profiled+recorded sample run whose flight record must
 # still replay bit-for-bit (profiling never touches the RNG stream),
 # and `regress --trend` over the committed BENCH trajectory.
@@ -55,36 +55,37 @@ check:
 # concurrent jobs on separate domains (each in its own context) and
 # again sequentially; the merged telemetry counters of the two runs
 # must be identical (context merging loses nothing), the published
-# spatialdb-status/1 document must validate with >= 2 contexts showing
+# status document must validate with >= 2 contexts showing
 # draws, `spatialdb status` must render it, and a contexted
 # (`--status-out`) recorded run must still replay bit-for-bit.
 # Finally the accuracy-contract smoke: `spatialdb audit` of the
 # Figure 1 union against the exact oracle (40 replicates over 2
-# domains), its spatialdb-audit/1 document validated and gated against
+# domains), its audit document validated and gated against
 # the committed AUDIT_1.json ledger (same fingerprint, contract still
 # met), and a domains-vs-seq audit differential: the two documents must
 # be byte-identical and their merged telemetry counters exactly equal.
-# Throwaway artifacts go to _build/.
+# Every document is checked by the one validator, `bench/validate.exe`
+# (subcommands report, plan, logs, profile, status, audit).  Throwaway
+# artifacts go to _build/.
 ci: check
 	dune exec bench/regress.exe -- --fast -o _build/BENCH_ci.json --check BENCH_1.json
 	dune exec bin/spatialdb.exe -- report --vars x,y \
 	  --formula "x >= 0 and y >= 0 and x + y <= 1" --seed 42 \
 	  -o _build/report_smoke.json
-	dune exec bench/validate_report.exe -- _build/report_smoke.json --require-converged
+	dune exec bench/validate.exe -- report _build/report_smoke.json --require-converged
 	dune exec bin/spatialdb.exe -- explain --vars x,y \
 	  --formula "x >= 0 and y >= 0 and x + y <= 1" \
 	  --format json > _build/plan_smoke.json
 	dune exec bin/spatialdb.exe -- sample --vars x,y \
 	  --formula "x >= 0 and y >= 0 and x + y <= 1" --seed 42 -n 3 \
 	  --progress > /dev/null
-	dune exec bench/validate_plan.exe -- --plan _build/plan_smoke.json \
-	  --report _build/report_smoke.json
+	dune exec bench/validate.exe -- plan _build/plan_smoke.json
 	dune exec bin/spatialdb.exe -- sample --vars x,y \
 	  --formula "x >= 0 and y >= 0 and x + y <= 1" --seed 42 -n 5 \
 	  --log-level debug --log-out _build/ci_log.jsonl \
 	  --metrics-out _build/ci_metrics.prom \
 	  --record _build/ci.flightrec.json > _build/ci_samples.tsv
-	dune exec bench/validate_logs.exe -- --log _build/ci_log.jsonl \
+	dune exec bench/validate.exe -- logs --log _build/ci_log.jsonl \
 	  --metrics _build/ci_metrics.prom
 	dune exec bin/spatialdb.exe -- replay _build/ci.flightrec.json
 	dune exec bin/spatialdb.exe -- sample --vars x,y \
@@ -105,11 +106,11 @@ ci: check
 	dune exec bin/spatialdb.exe -- report --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
 	  --seed 42 --engine vm-opt -o _build/report_vmopt.json
-	dune exec bench/validate_profile.exe -- --report _build/report_vmopt.json
+	dune exec bench/validate.exe -- report _build/report_vmopt.json
 	dune exec bin/spatialdb.exe -- profile --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
 	  --seed 42 -n 20 --out _build/profile_smoke.json > /dev/null
-	dune exec bench/validate_profile.exe -- --profile _build/profile_smoke.json
+	dune exec bench/validate.exe -- profile _build/profile_smoke.json
 	dune exec bin/spatialdb.exe -- sample --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
 	  --seed 42 -n 5 --engine vm --profile=counting \
@@ -125,8 +126,8 @@ ci: check
 	  --seed 42 -n 20 --jobs 2 --jobs-mode seq \
 	  --stats-out _build/ci_jobs_seq.json > _build/ci_jobs_seq.tsv
 	cmp _build/ci_jobs_par.tsv _build/ci_jobs_seq.tsv
-	dune exec bench/validate_status.exe -- \
-	  --status _build/ci_status.json --min-contexts 2 \
+	dune exec bench/validate.exe -- status \
+	  _build/ci_status.json --min-contexts 2 \
 	  --compare-counters _build/ci_jobs_par.json _build/ci_jobs_seq.json
 	dune exec bin/spatialdb.exe -- status _build/ci_status.json --require 2
 	dune exec bin/spatialdb.exe -- sample --vars x,y \
@@ -139,7 +140,7 @@ ci: check
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
 	  --seed 42 --runs 40 --jobs 2 --oracle exact \
 	  --out _build/audit_ci.json > /dev/null
-	dune exec bench/validate_audit.exe -- --audit _build/audit_ci.json \
+	dune exec bench/validate.exe -- audit _build/audit_ci.json \
 	  --check AUDIT_1.json
 	dune exec bin/spatialdb.exe -- audit --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
@@ -152,7 +153,7 @@ ci: check
 	  --stats-out _build/ci_audit_seq.json \
 	  --out _build/ci_audit_seq_doc.json > /dev/null
 	cmp _build/ci_audit_par_doc.json _build/ci_audit_seq_doc.json
-	dune exec bench/validate_status.exe -- \
+	dune exec bench/validate.exe -- status \
 	  --compare-counters _build/ci_audit_par.json _build/ci_audit_seq.json
 
 clean:

@@ -39,7 +39,7 @@ module FM = Scdb_qe.Fourier_motzkin
 module Rng = Scdb_rng.Rng
 module Rej = Scdb_sampling.Rejection
 module Tel = Scdb_telemetry.Telemetry
-module J = Scdb_trace.Json_min
+module J = Scdb_json.Json
 
 (* ------------------------------------------------------------------ *)
 (* Measurement                                                         *)

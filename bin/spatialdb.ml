@@ -18,7 +18,7 @@ module Metrics = Scdb_log.Metrics_export
 module Flightrec = Scdb_log.Flightrec
 module Flight = Scdb_gis.Flight
 module Obs = Scdb_obs.Obs
-module Jm = Scdb_trace.Json_min
+module Jm = Scdb_json.Json
 module FM = Scdb_qe.Fourier_motzkin
 module VE = Scdb_polytope.Volume_exact
 module GV = Scdb_polytope.Gridvol
@@ -156,7 +156,8 @@ type obs = {
 let obs_term =
   let log_level_arg =
     let doc =
-      "Enable structured JSON-lines logging (schema spatialdb-log/1) at $(docv): one of \
+      "Enable structured JSON-lines logging (schema " ^ Log.schema
+      ^ ") at $(docv): one of \
        $(b,debug), $(b,info), $(b,warn), $(b,error).  Events go to stderr unless \
        $(b,--log-out) is given.  Also enabled by setting \\$(b,SPATIALDB_LOG)."
     in
@@ -262,7 +263,8 @@ let sample_cmd =
   in
   let record_arg =
     let doc =
-      "Write a flight record (spatialdb-flightrec/1: arguments, seed, bit-exact sample stream, \
+      "Write a flight record (" ^ Flightrec.schema
+      ^ ": arguments, seed, bit-exact sample stream, \
        RNG lineage, telemetry, log tail) to $(docv), replayable with $(b,spatialdb replay)."
     in
     Arg.(value & opt (some string) None & info [ "record" ] ~docv:"FILE" ~doc)
@@ -289,7 +291,8 @@ let sample_cmd =
   in
   let profile_out_arg =
     let doc =
-      "With $(b,--profile), additionally write the full spatialdb-profile/1 JSON document \
+      "With $(b,--profile), additionally write the full " ^ Scdb_profile.Profile.schema
+      ^ " JSON document \
        (hot pcs, opcode histogram, per-node rollup, Chrome trace events) to $(docv)."
     in
     Arg.(value & opt (some string) None & info [ "profile-out" ] ~docv:"FILE" ~doc)
@@ -457,7 +460,8 @@ let sample_cmd =
   in
   let status_out_arg =
     let doc =
-      "Periodically publish the spatialdb-status/1 status document to $(docv) (atomic \
+      "Periodically publish the " ^ Obs.Status.schema
+      ^ " status document to $(docv) (atomic \
        write-then-rename, so it is safe to read at any moment — e.g. with $(b,spatialdb \
        status))."
     in
@@ -589,7 +593,8 @@ let report_cmd =
   in
   let format_arg =
     let doc =
-      "Output format: $(b,json) (the self-contained spatialdb-report/1 document, the default), \
+      "Output format: $(b,json) (the self-contained " ^ Scdb_gis.Report.schema
+      ^ " document, the default), \
        $(b,trace) (raw Chrome trace-event JSON, loadable in Perfetto) or $(b,tree) (indented \
        text rendering of the spans)."
     in
@@ -714,7 +719,7 @@ let audit_cmd =
       value
       & opt (some string) None
       & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write the spatialdb-audit/1 JSON document to $(docv).")
+          ~doc:("Write the " ^ Scdb_audit.Audit.schema ^ " JSON document to $(docv)."))
   in
   let run vars_s formula seed eps delta runs jobs jobs_mode oracle confidence gamma walk_steps
       phase_samples out stats stats_out o =
@@ -788,7 +793,7 @@ let profile_cmd =
       value
       & opt (some string) None
       & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write the spatialdb-profile/1 JSON document to $(docv).")
+          ~doc:("Write the " ^ Scdb_profile.Profile.schema ^ " JSON document to $(docv)."))
   in
   let top_arg =
     Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc:"Rows in the hot-pc table.")
@@ -888,17 +893,18 @@ let status_cmd =
       | exception Jm.Parse_error m -> or_die (Error (file ^ ": invalid JSON: " ^ m))
     in
     (match Option.bind (Jm.member "schema" doc) Jm.to_string with
-    | Some "spatialdb-status/1" -> ()
+    | Some sc when sc = Obs.Status.schema -> ()
     | Some other -> or_die (Error (Printf.sprintf "%s: unexpected schema %S" file other))
-    | None -> or_die (Error (file ^ ": not a spatialdb-status/1 document")));
+    | None -> or_die (Error (file ^ ": not a " ^ Obs.Status.schema ^ " document")));
     let ctxs =
       match Option.bind (Jm.member "contexts" doc) Jm.to_list with
       | Some l -> l
       | None -> or_die (Error (file ^ ": no contexts array"))
     in
-    let num k j = Option.value ~default:0.0 (Option.bind (Jm.member k j) Jm.to_float) in
-    let int_ k j = int_of_float (num k j) in
     let opt_num k j = Option.bind (Jm.member k j) Jm.to_float in
+    (* A null (non-finite) reading renders as nan, never as a plausible 0. *)
+    let num k j = Option.value ~default:Float.nan (opt_num k j) in
+    let int_ k j = Option.fold ~none:0 ~some:int_of_float (opt_num k j) in
     let rows =
       List.map
         (fun j ->
@@ -934,7 +940,8 @@ let status_cmd =
     end
   in
   let doc =
-    "Render a spatialdb-status/1 document (as published by $(b,sample --status-out)) as a \
+    "Render a " ^ Obs.Status.schema
+    ^ " document (as published by $(b,sample --status-out)) as a \
      per-context table: draws/sec, acceptance rate, budget burn, ESS, warnings, spans."
   in
   Cmd.v (Cmd.info "status" ~doc) Term.(const run $ file_arg $ require_arg)
@@ -989,8 +996,8 @@ let explain_cmd =
     Arg.(value & opt string "walk" & info [ "method" ] ~docv:"METHOD" ~doc)
   in
   let format_arg =
-    let doc = "Output format: $(b,tree) (indented text, the default), $(b,json) (the \
-               spatialdb-plan/1 document) or $(b,program) (the plan lowered to the kernel VM: \
+    let doc = "Output format: $(b,tree) (indented text, the default), $(b,json) (the " ^ Scdb_plan.Plan.schema
+               ^ " document) or $(b,program) (the plan lowered to the kernel VM: \
                piece table, weight/trial slots and the instruction listing)." in
     Arg.(value & opt string "tree" & info [ "format" ] ~docv:"FORMAT" ~doc)
   in

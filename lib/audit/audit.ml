@@ -242,10 +242,9 @@ let budget_rows = Plan_exec.budget_attribution
 let budget_rows_json = Plan_exec.budget_attribution_json
 let budget_rows_text = Plan_exec.budget_attribution_text
 
-let jnum v =
-  if Float.is_nan v then "null"
-  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-  else Printf.sprintf "%.17g" v
+module Jo = Scdb_json.Json_out
+
+let schema = "spatialdb-audit/1"
 
 (* ---------------- whole-relation audits ---------------- *)
 
@@ -343,37 +342,37 @@ let to_json ~vars ~formula ~seed ~jobs ~requested a =
   let buf = Buffer.create 2048 in
   let add = Buffer.add_string buf in
   add "{\n";
-  add "  \"schema\": \"spatialdb-audit/1\",\n";
+  add (Printf.sprintf "  \"schema\": \"%s\",\n" schema);
   add "  \"args\": {\n";
   add
     (Printf.sprintf "    \"vars\": [%s],\n"
-       (String.concat ", " (List.map (fun v -> "\"" ^ Trace.json_escape v ^ "\"") vars)));
-  add (Printf.sprintf "    \"formula\": \"%s\",\n" (Trace.json_escape formula));
+       (String.concat ", " (List.map (fun v -> "\"" ^ Jo.escape v ^ "\"") vars)));
+  add (Printf.sprintf "    \"formula\": \"%s\",\n" (Jo.escape formula));
   add (Printf.sprintf "    \"seed\": %d,\n" seed);
   add (Printf.sprintf "    \"runs\": %d,\n" a.cov.runs);
   add (Printf.sprintf "    \"jobs\": %d,\n" jobs);
-  add (Printf.sprintf "    \"oracle\": \"%s\",\n" (Trace.json_escape requested));
-  add (Printf.sprintf "    \"eps\": %s,\n" (jnum a.eps));
-  add (Printf.sprintf "    \"delta\": %s,\n" (jnum a.delta));
-  add (Printf.sprintf "    \"gamma\": %s,\n" (jnum a.gamma));
-  add (Printf.sprintf "    \"confidence\": %s\n" (jnum a.cov.confidence));
+  add (Printf.sprintf "    \"oracle\": \"%s\",\n" (Jo.escape requested));
+  add (Printf.sprintf "    \"eps\": %s,\n" (Jo.num a.eps));
+  add (Printf.sprintf "    \"delta\": %s,\n" (Jo.num a.delta));
+  add (Printf.sprintf "    \"gamma\": %s,\n" (Jo.num a.gamma));
+  add (Printf.sprintf "    \"confidence\": %s\n" (Jo.num a.cov.confidence));
   add "  },\n";
   add (Printf.sprintf "  \"fingerprint\": \"%s\",\n" a.fingerprint);
   add (Printf.sprintf "  \"oracle\": \"%s\",\n" (oracle_name a.oracle));
-  add (Printf.sprintf "  \"truth\": %s,\n" (jnum a.truth));
+  add (Printf.sprintf "  \"truth\": %s,\n" (Jo.num a.truth));
   add
     (Printf.sprintf "  \"truth_exact\": %s,\n"
        (match a.truth_exact with
        | Some q -> "\"" ^ Rational.to_string q ^ "\""
        | None -> "null"));
-  add (Printf.sprintf "  \"target\": %s,\n" (jnum a.cov.target));
+  add (Printf.sprintf "  \"target\": %s,\n" (Jo.num a.cov.target));
   add
     (Printf.sprintf "  \"estimates\": [%s],\n"
-       (String.concat ", " (List.map jnum (Array.to_list a.cov.estimates))));
+       (String.concat ", " (List.map Jo.num (Array.to_list a.cov.estimates))));
   add (Printf.sprintf "  \"hits\": %d,\n" a.cov.hits);
-  add (Printf.sprintf "  \"coverage\": %s,\n" (jnum a.cov.coverage));
-  add (Printf.sprintf "  \"cp_low\": %s,\n" (jnum a.cov.cp_low));
-  add (Printf.sprintf "  \"cp_high\": %s,\n" (jnum a.cov.cp_high));
+  add (Printf.sprintf "  \"coverage\": %s,\n" (Jo.num a.cov.coverage));
+  add (Printf.sprintf "  \"cp_low\": %s,\n" (Jo.num a.cov.cp_low));
+  add (Printf.sprintf "  \"cp_high\": %s,\n" (Jo.num a.cov.cp_high));
   add (Printf.sprintf "  \"verdict\": \"%s\",\n" (verdict_name a.cov.verdict));
   add "  \"error_budget\": ";
   add (budget_rows_json a.budget);

@@ -21,7 +21,7 @@
     Results serialize to the versioned [spatialdb-audit/1] JSON
     document; [AUDIT_1.json] in the repo root is the committed accuracy
     ledger (the analogue of the BENCH_* perf baselines), gated in CI by
-    [bench/validate_audit.exe]. *)
+    [bench/validate.exe audit]. *)
 
 (** Where ground truth came from. *)
 type oracle = Exact | Reference
@@ -183,13 +183,17 @@ val run :
     Figure 1 regression demo shows the auditor catching a broken
     sampler. *)
 
+val schema : string
+(** ["spatialdb-audit/1"]. *)
+
 val to_json :
   vars:string list -> formula:string -> seed:int -> jobs:int -> requested:string -> t -> string
-(** The [spatialdb-audit/1] document.  Deterministic — no wall-clock
-    fields — so audits of the same configuration are byte-identical
-    and the committed ledger diffs cleanly.  [requested] records the
-    oracle asked for (["exact"], ["reference"] or ["auto"]); the
-    top-level [oracle] field records the one actually used. *)
+(** The {!schema} document (non-finite numbers as [null]).
+    Deterministic — no wall-clock fields — so audits of the same
+    configuration are byte-identical and the committed ledger diffs
+    cleanly.  [requested] records the oracle asked for (["exact"],
+    ["reference"] or ["auto"]); the top-level [oracle] field records
+    the one actually used. *)
 
 val to_text : t -> string
 (** Human summary: truth, coverage with its bracket, verdict, and the

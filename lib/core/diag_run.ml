@@ -72,7 +72,7 @@ let run ?(chains = default_chains) ?(samples_per_chain = default_samples_per_cha
         Log.warn "diag.not_converged"
           [
             Log.str "reason" verdict.Diag.reason;
-            Log.float "max_rhat" (Array.fold_left Float.max Float.nan rhat);
+            Log.float "max_rhat" (Array.fold_left Float.max Float.neg_infinity rhat);
             Log.int "chains" chains;
             Log.int "samples_per_chain" samples_per_chain;
           ];
@@ -87,28 +87,24 @@ let run ?(chains = default_chains) ?(samples_per_chain = default_samples_per_cha
           verdict;
         }
 
-let json_float v =
-  if Float.is_nan v then "\"nan\""
-  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-  else Printf.sprintf "%.17g" v
+module Jo = Scdb_json.Json_out
 
-let json_float_array a =
-  "[" ^ String.concat ", " (Array.to_list (Array.map json_float a)) ^ "]"
+let num_array a = "[" ^ String.concat ", " (Array.to_list (Array.map Jo.num a)) ^ "]"
 
 let to_json t =
   let buf = Buffer.create 1024 in
   let chain_json c =
     Printf.sprintf
       "{\"kept\": %d, \"acceptance_rate\": %s, \"max_stall\": %d, \"ess\": %s, \"mean\": %s}"
-      c.kept (json_float c.acceptance_rate) c.max_stall (json_float_array c.ess)
-      (json_float_array c.mean)
+      c.kept (Jo.num c.acceptance_rate) c.max_stall (num_array c.ess)
+      (num_array c.mean)
   in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf (Printf.sprintf "  \"dim\": %d,\n" t.dim);
   Buffer.add_string buf (Printf.sprintf "  \"chains\": %d,\n" (Array.length t.chains));
   Buffer.add_string buf (Printf.sprintf "  \"thin\": %d,\n" t.thin);
   Buffer.add_string buf (Printf.sprintf "  \"samples_per_chain\": %d,\n" t.samples_per_chain);
-  Buffer.add_string buf (Printf.sprintf "  \"rhat\": %s,\n" (json_float_array t.rhat));
+  Buffer.add_string buf (Printf.sprintf "  \"rhat\": %s,\n" (num_array t.rhat));
   Buffer.add_string buf "  \"per_chain\": [\n    ";
   Buffer.add_string buf
     (String.concat ",\n    " (Array.to_list (Array.map chain_json t.chains)));
@@ -116,6 +112,6 @@ let to_json t =
   Buffer.add_string buf
     (Printf.sprintf "  \"converged\": %b,\n" t.verdict.Diag.converged);
   Buffer.add_string buf
-    (Printf.sprintf "  \"reason\": \"%s\"\n" (String.escaped t.verdict.Diag.reason));
+    (Printf.sprintf "  \"reason\": \"%s\"\n" (Jo.escape t.verdict.Diag.reason));
   Buffer.add_string buf "}";
   Buffer.contents buf

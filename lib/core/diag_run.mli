@@ -40,4 +40,6 @@ val run :
     from [rng], so the whole run is deterministic given the seed. *)
 
 val to_json : t -> string
-(** Self-contained JSON object (no trailing newline). *)
+(** Self-contained JSON object (no trailing newline).  A non-finite
+    R̂, ESS, mean or acceptance rate (R̂ is [inf] when the within-chain
+    variance vanishes) is written as [null] ({!Scdb_json.Json_out}). *)

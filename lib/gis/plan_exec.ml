@@ -115,18 +115,14 @@ let attribution ?program plan =
       { id; op; predicted; actual; ratio; tags = tags_of id })
     (Plan.budget_rows plan)
 
+module Jo = Scdb_json.Json_out
+
 let attribution_json rows =
-  let jnum v =
-    if Float.is_nan v then "null"
-    else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-    else Printf.sprintf "%.17g" v
-  in
   let row r =
     Printf.sprintf
       "    {\"id\": %d, \"op\": \"%s\", \"predicted\": %s, \"actual\": %s, \"ratio\": %s, \"tags\": [%s]}"
-      r.id r.op (jnum r.predicted) (jnum r.actual)
-      (if Float.is_finite r.ratio then jnum r.ratio else "null")
-      (String.concat ", " (List.map (fun t -> "\"" ^ t ^ "\"") r.tags))
+      r.id r.op (Jo.num r.predicted) (Jo.num r.actual) (Jo.num r.ratio)
+      (String.concat ", " (List.map (fun t -> "\"" ^ Jo.escape t ^ "\"") r.tags))
   in
   "[\n" ^ String.concat ",\n" (List.map row (Array.to_list rows)) ^ "\n  ]"
 
@@ -170,17 +166,12 @@ let budget_attribution plan (attr : attribution_row array) =
     (Scdb_plan.Plan.error_budget plan)
 
 let budget_attribution_json rows =
-  let jnum v =
-    if Float.is_nan v then "null"
-    else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-    else Printf.sprintf "%.17g" v
-  in
   let row r =
     Printf.sprintf
       "    {\"id\": %d, \"op\": \"%s\", \"eps\": %s, \"delta\": %s, \"predicted\": %s, \
        \"actual\": %s, \"ratio\": %s, \"delta_achieved\": %s, \"slack\": %s}"
-      r.b_id r.b_op (jnum r.b_eps) (jnum r.b_delta) (jnum r.b_predicted) (jnum r.b_actual)
-      (jnum r.b_ratio) (jnum r.b_delta_achieved) (jnum r.b_slack)
+      r.b_id r.b_op (Jo.num r.b_eps) (Jo.num r.b_delta) (Jo.num r.b_predicted) (Jo.num r.b_actual)
+      (Jo.num r.b_ratio) (Jo.num r.b_delta_achieved) (Jo.num r.b_slack)
   in
   "[\n" ^ String.concat ",\n" (List.map row (Array.to_list rows)) ^ "\n  ]"
 

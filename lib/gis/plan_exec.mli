@@ -64,8 +64,8 @@ val attribution : ?program:Scdb_vm.Vm.t -> Scdb_plan.Plan.t -> attribution_row a
     [reordered_membership]) so attribution rows carry provenance. *)
 
 val attribution_json : attribution_row array -> string
-(** JSON array (two-space indented block) with [null] ratios for nodes
-    that never ran. *)
+(** JSON array (two-space indented block); every non-finite number is
+    [null], so is the ratio of a node that never ran. *)
 
 val attribution_text : attribution_row array -> string
 (** Fixed-width table for terminals. *)
@@ -94,8 +94,8 @@ val budget_attribution : Scdb_plan.Plan.t -> attribution_row array -> budget_row
     [spatialdb audit] documents. *)
 
 val budget_attribution_json : budget_row array -> string
-(** JSON array (two-space indented block); [nan] fields render as
-    [null]. *)
+(** JSON array (two-space indented block); non-finite fields render
+    as [null]. *)
 
 val budget_attribution_text : budget_row array -> string
 (** Fixed-width table for terminals. *)

@@ -5,10 +5,81 @@ module Polytope = Scdb_polytope.Polytope
 
 type t = { json : string; chrome_trace : string; text_tree : string }
 
-let json_float v =
-  if Float.is_nan v then "null"
-  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-  else Printf.sprintf "%.17g" v
+module Jo = Scdb_json.Json_out
+
+let schema = "spatialdb-report/5"
+
+type parts = {
+  vars : string list;
+  formula : string;
+  engine : string;
+  seed : int;
+  eps : float;
+  delta : float;
+  chains : int;
+  samples_per_chain : int;
+  relation : Relation.t;
+  plan : Scdb_plan.Plan.t;
+  attribution : Plan_exec.attribution_row array;
+  samples : float array list;
+  volume : float option;
+  diagnostics : Diag_run.t option;
+  profile : string option;
+}
+
+(* An embedded document, re-indented to sit one level deep. *)
+let embed doc = String.concat "\n  " (String.split_on_char '\n' (String.trim doc))
+
+let to_json ~chrome p =
+  let buf = Buffer.create 8192 in
+  let add = Buffer.add_string buf in
+  let str s = "\"" ^ Jo.escape s ^ "\"" in
+  add "{\n";
+  add (Printf.sprintf "  \"schema\": \"%s\",\n" schema);
+  add "  \"args\": {\n";
+  add (Printf.sprintf "    \"vars\": [%s],\n" (String.concat ", " (List.map str p.vars)));
+  add (Printf.sprintf "    \"formula\": %s,\n" (str p.formula));
+  add (Printf.sprintf "    \"engine\": %s,\n" (str p.engine));
+  add (Printf.sprintf "    \"seed\": %d,\n" p.seed);
+  add (Printf.sprintf "    \"eps\": %s,\n" (Jo.num p.eps));
+  add (Printf.sprintf "    \"delta\": %s,\n" (Jo.num p.delta));
+  add (Printf.sprintf "    \"samples\": %d,\n" (List.length p.samples));
+  add (Printf.sprintf "    \"chains\": %d,\n" p.chains);
+  add (Printf.sprintf "    \"samples_per_chain\": %d\n" p.samples_per_chain);
+  add "  },\n";
+  add (Printf.sprintf "  \"dim\": %d,\n" (List.length p.vars));
+  add (Printf.sprintf "  \"tuples\": %d,\n" (List.length (Relation.tuples p.relation)));
+  add "  \"samples\": [\n";
+  add
+    (String.concat ",\n"
+       (List.map
+          (fun pt -> "    [" ^ String.concat ", " (List.map Jo.num (Array.to_list pt)) ^ "]")
+          p.samples));
+  add "\n  ],\n";
+  add
+    (Printf.sprintf "  \"volume\": %s,\n"
+       (match p.volume with Some v -> Jo.num v | None -> "null"));
+  add ("  \"plan\": " ^ embed (Scdb_plan.Plan.to_json p.plan) ^ ",\n");
+  add ("  \"cost_attribution\": " ^ Plan_exec.attribution_json p.attribution ^ ",\n");
+  (* The accuracy twin of cost_attribution: the (ε,δ) grants each node
+     received, the δ its spent work actually bought, and the remaining
+     slack — keyed by the relation's canonical fingerprint (the future
+     cache key). *)
+  add "  \"audit\": {\n";
+  add (Printf.sprintf "    \"fingerprint\": \"%s\",\n" (Relation.fingerprint p.relation));
+  add "    \"error_budget\": ";
+  add
+    (Plan_exec.budget_attribution_json (Plan_exec.budget_attribution p.plan p.attribution));
+  add "\n  },\n";
+  let block = function Some doc -> embed doc | None -> "null" in
+  add ("  \"diagnostics\": " ^ block (Option.map Diag_run.to_json p.diagnostics) ^ ",\n");
+  add ("  \"profile\": " ^ block p.profile ^ ",\n");
+  add (Printf.sprintf "  \"span_count\": %d,\n" (Trace.count ()));
+  add ("  \"telemetry\": " ^ embed (Tel.dump ~only_nonzero:true ()) ^ ",\n");
+  add "  \"trace\": ";
+  add chrome;
+  add "\n}\n";
+  Buffer.contents buf
 
 let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
     ?(chains = Diag_run.default_chains)
@@ -129,89 +200,33 @@ let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
                       (Polytope.of_tuple ~dim tuple)
                 | [] -> None
               in
-              Ok (relation, plan, attribution, pts, vol, diag, profile_json))
+              Ok
+                {
+                  vars;
+                  formula;
+                  engine;
+                  seed;
+                  eps;
+                  delta;
+                  chains;
+                  samples_per_chain;
+                  relation;
+                  plan;
+                  attribution;
+                  samples = pts;
+                  volume = vol;
+                  diagnostics = diag;
+                  profile = profile_json;
+                })
     in
     (* Export after the root span closes so every duration is final. *)
     let out =
-      match result with
-      | Error e -> Error e
-      | Ok (relation, plan, attribution, pts, vol, diag, profile_json) ->
+      Result.map
+        (fun parts ->
           let chrome = Trace.to_chrome_json () in
-          let text = Trace.to_text_tree () in
-          let telemetry = Tel.dump ~only_nonzero:true () in
-          let buf = Buffer.create 8192 in
-          let add = Buffer.add_string buf in
-          add "{\n";
-          add "  \"schema\": \"spatialdb-report/4\",\n";
-          add "  \"args\": {\n";
-          add
-            (Printf.sprintf "    \"vars\": [%s],\n"
-               (String.concat ", "
-                  (List.map (fun v -> "\"" ^ Trace.json_escape v ^ "\"") vars)));
-          add (Printf.sprintf "    \"formula\": \"%s\",\n" (Trace.json_escape formula));
-          add (Printf.sprintf "    \"engine\": \"%s\",\n" (Trace.json_escape engine));
-          add (Printf.sprintf "    \"seed\": %d,\n" seed);
-          add (Printf.sprintf "    \"eps\": %s,\n" (json_float eps));
-          add (Printf.sprintf "    \"delta\": %s,\n" (json_float delta));
-          add (Printf.sprintf "    \"samples\": %d,\n" samples);
-          add (Printf.sprintf "    \"chains\": %d,\n" chains);
-          add (Printf.sprintf "    \"samples_per_chain\": %d\n" samples_per_chain);
-          add "  },\n";
-          add (Printf.sprintf "  \"dim\": %d,\n" dim);
-          add (Printf.sprintf "  \"tuples\": %d,\n" (List.length (Relation.tuples relation)));
-          add "  \"samples\": [\n";
-          add
-            (String.concat ",\n"
-               (List.map
-                  (fun p ->
-                    "    ["
-                    ^ String.concat ", "
-                        (List.map json_float (Array.to_list p))
-                    ^ "]")
-                  pts));
-          add "\n  ],\n";
-          add
-            (Printf.sprintf "  \"volume\": %s,\n"
-               (match vol with Some v -> json_float v | None -> "null"));
-          add "  \"plan\": ";
-          add
-            (String.concat "\n  "
-               (String.split_on_char '\n' (String.trim (Scdb_plan.Plan.to_json plan))));
-          add ",\n";
-          add "  \"cost_attribution\": ";
-          add (Plan_exec.attribution_json attribution);
-          add ",\n";
-          (* The accuracy twin of cost_attribution: the (ε,δ) grants
-             each node received, the δ its spent work actually bought,
-             and the remaining slack — keyed by the relation's
-             canonical fingerprint (the future cache key). *)
-          add "  \"audit\": {\n";
-          add
-            (Printf.sprintf "    \"fingerprint\": \"%s\",\n" (Relation.fingerprint relation));
-          add "    \"error_budget\": ";
-          add (Plan_exec.budget_attribution_json (Plan_exec.budget_attribution plan attribution));
-          add "\n  },\n";
-          add "  \"diagnostics\": ";
-          (match diag with
-          | Some d ->
-              add
-                (String.concat "\n  "
-                   (String.split_on_char '\n' (Diag_run.to_json d)))
-          | None -> add "null");
-          add ",\n";
-          add "  \"profile\": ";
-          (match profile_json with
-          | Some pj -> add (String.concat "\n  " (String.split_on_char '\n' (String.trim pj)))
-          | None -> add "null");
-          add ",\n";
-          add (Printf.sprintf "  \"span_count\": %d,\n" (Trace.count ()));
-          add "  \"telemetry\": ";
-          add (String.concat "\n  " (String.split_on_char '\n' telemetry));
-          add ",\n";
-          add "  \"trace\": ";
-          add chrome;
-          add "\n}\n";
-          Ok { json = Buffer.contents buf; chrome_trace = chrome; text_tree = text }
+          let json = to_json ~chrome parts in
+          { json; chrome_trace = chrome; text_tree = Trace.to_text_tree () })
+        result
     in
     Tel.set_enabled tel_was;
     Trace.set_enabled trace_was;

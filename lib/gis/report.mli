@@ -3,8 +3,8 @@
     Runs a full query pipeline — parse, normalize, build generators,
     sample, estimate volume, and a multi-chain convergence check
     ({!Scdb_core.Diag_run}) — with tracing and telemetry enabled, and
-    packages everything into one JSON document (schema
-    [spatialdb-report/4]) embedding:
+    packages everything into one JSON document (schema {!schema})
+    embedding:
 
     - the CLI-equivalent arguments (vars, formula, seed, ε, δ, …);
     - the drawn samples and the volume estimate;
@@ -13,8 +13,11 @@
       in steps + trials, and the actual/predicted ratio — [null] for
       nodes that never ran);
     - per-chain ESS, split-R̂ per coordinate and a convergence verdict;
-    - the telemetry snapshot ([spatialdb-telemetry/2]);
+    - the telemetry snapshot ([spatialdb-telemetry/3]);
     - the full Chrome trace (loadable in Perfetto as-is).
+
+    Every number goes through {!Scdb_json.Json_out.num}: a non-finite
+    value (an infinite R̂, a NaN ratio) is written as [null].
 
     The progress bus is armed around the planned work (sampling and the
     volume estimate); the diagnostics run outside it so they cannot
@@ -22,8 +25,11 @@
     states are restored on exit; the recorded spans and counters
     reflect only this run. *)
 
+val schema : string
+(** ["spatialdb-report/5"]. *)
+
 type t = {
-  json : string;  (** the [spatialdb-report/4] document *)
+  json : string;  (** the {!schema} document *)
   chrome_trace : string;  (** raw Chrome trace-event JSON *)
   text_tree : string;  (** indented text rendering of the spans *)
 }
@@ -53,3 +59,30 @@ val generate :
     the report's ["profile"] key, with rewrite tags on the
     attribution rows.
     [Error reason] on parse errors or empty/unbounded relations. *)
+
+(** {1 The document} *)
+
+type parts = {
+  vars : string list;
+  formula : string;
+  engine : string;
+  seed : int;
+  eps : float;
+  delta : float;
+  chains : int;
+  samples_per_chain : int;
+  relation : Scdb_constr.Relation.t;
+  plan : Scdb_plan.Plan.t;
+  attribution : Plan_exec.attribution_row array;
+  samples : float array list;
+  volume : float option;  (** [None] when estimation failed *)
+  diagnostics : Scdb_core.Diag_run.t option;
+  profile : string option;  (** the embedded profile document, compiled engines only *)
+}
+(** What {!generate} computed, before it is written out. *)
+
+val to_json : chrome:string -> parts -> string
+(** The {!schema} document {!generate} returns, written straight into
+    one buffer, with [chrome] as its trace.  The span count and the
+    telemetry snapshot are read from the ambient trace and telemetry
+    state. *)

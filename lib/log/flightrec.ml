@@ -1,5 +1,5 @@
-module J = Scdb_trace.Json_min
-module Trace = Scdb_trace.Trace
+module J = Scdb_json.Json
+module Jo = Scdb_json.Json_out
 module Rng = Scdb_rng.Rng
 
 type t = {
@@ -36,12 +36,12 @@ let to_json t =
   let add = Buffer.add_string buf in
   add "{\n";
   add (Printf.sprintf "  \"schema\": %S,\n" schema);
-  add (Printf.sprintf "  \"command\": \"%s\",\n" (Trace.json_escape t.command));
+  add (Printf.sprintf "  \"command\": \"%s\",\n" (Jo.escape t.command));
   add "  \"args\": {";
   List.iteri
     (fun i (k, v) ->
       add (if i = 0 then "\n" else ",\n");
-      add (Printf.sprintf "    \"%s\": \"%s\"" (Trace.json_escape k) (Trace.json_escape v)))
+      add (Printf.sprintf "    \"%s\": \"%s\"" (Jo.escape k) (Jo.escape v)))
     t.args;
   add (if t.args = [] then "},\n" else "\n  },\n");
   add (Printf.sprintf "  \"seed\": %d,\n" t.seed);
@@ -64,7 +64,7 @@ let to_json t =
       add (if i = 0 then "\n" else ",\n");
       add
         (Printf.sprintf "    {\"id\": %d, \"parent\": %d, \"op\": \"%s\", \"draws\": %d}" n.id
-           n.parent (Trace.json_escape n.op) n.draws))
+           n.parent (Jo.escape n.op) n.draws))
     t.lineage;
   add (if t.lineage = [] then "],\n" else "\n  ],\n");
   add "  \"telemetry\": ";
@@ -82,22 +82,6 @@ let to_json t =
   add (if t.log_tail = [] then "]\n" else "\n  ]\n");
   add "}\n";
   Buffer.contents buf
-
-(* Minimal re-serializer so telemetry and log events parsed by Json_min
-   can be carried back out as raw strings. *)
-let rec json_to_string = function
-  | J.Null -> "null"
-  | J.Bool b -> string_of_bool b
-  | J.Num v ->
-      if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-      else Printf.sprintf "%.17g" v
-  | J.Str s -> "\"" ^ Trace.json_escape s ^ "\""
-  | J.Arr l -> "[" ^ String.concat ", " (List.map json_to_string l) ^ "]"
-  | J.Obj kvs ->
-      "{"
-      ^ String.concat ", "
-          (List.map (fun (k, v) -> "\"" ^ Trace.json_escape k ^ "\": " ^ json_to_string v) kvs)
-      ^ "}"
 
 let of_json s =
   match J.parse s with
@@ -175,12 +159,12 @@ let of_json s =
               let telemetry =
                 match field "telemetry" with
                 | Some J.Null | None -> Some None
-                | Some (J.Obj _ as o) -> Some (Some (json_to_string o))
+                | Some (J.Obj _ as o) -> Some (Some (Jo.to_string o))
                 | _ -> None
               in
               let log_tail =
                 match field "log_tail" with
-                | Some (J.Arr lines) -> Some (List.map json_to_string lines)
+                | Some (J.Arr lines) -> Some (List.map Jo.to_string lines)
                 | None -> Some []
                 | _ -> None
               in

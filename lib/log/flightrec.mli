@@ -20,7 +20,7 @@ type t = {
   samples : float array list;  (** the emitted sample stream, in order *)
   lineage : Scdb_rng.Rng.Provenance.info list;
   telemetry : string option;  (** raw telemetry JSON dump, if collection was on *)
-  log_tail : string list;  (** last-N rendered [spatialdb-log/1] lines *)
+  log_tail : string list;  (** last-N rendered {!Log.schema} lines *)
 }
 
 val schema : string

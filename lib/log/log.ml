@@ -134,34 +134,35 @@ let bool k v = F_bool (k, v)
 let warn_count () = (cur ()).s_warns
 let error_count () = (cur ()).s_errors
 
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.17g" v
-  else if v > 0.0 then "1e308"
-  else if v < 0.0 then "-1e308"
-  else "0"
+module Jo = Scdb_json.Json_out
+
+let schema = "spatialdb-log/2"
 
 (* With the sink's mutex held (the scratch buffer is per-sink). *)
 let render s level event fields =
   let buf = s.s_buf in
   Buffer.clear buf;
-  Buffer.add_string buf "{\"schema\": \"spatialdb-log/1\", \"seq\": ";
+  Buffer.add_string buf "{\"schema\": \"";
+  Buffer.add_string buf schema;
+  Buffer.add_string buf "\", \"seq\": ";
   Buffer.add_string buf (string_of_int s.s_seq);
-  Buffer.add_string buf (Printf.sprintf ", \"ts\": %.6f" (Tel.Clock.now ()));
+  Buffer.add_string buf ", \"ts\": ";
+  Buffer.add_string buf (Jo.num (Tel.Clock.now ()));
   Buffer.add_string buf ", \"level\": \"";
   Buffer.add_string buf (level_name level);
   Buffer.add_string buf "\", \"span\": ";
   Buffer.add_string buf (string_of_int (Trace.current_id ()));
   Buffer.add_string buf ", \"event\": \"";
-  Buffer.add_string buf (Trace.json_escape event);
+  Buffer.add_string buf (Jo.escape event);
   Buffer.add_string buf "\", \"fields\": {";
   List.iteri
     (fun i f ->
       if i > 0 then Buffer.add_string buf ", ";
-      let key k = "\"" ^ Trace.json_escape k ^ "\": " in
+      let key k = "\"" ^ Jo.escape k ^ "\": " in
       match f with
-      | F_str (k, v) -> Buffer.add_string buf (key k ^ "\"" ^ Trace.json_escape v ^ "\"")
+      | F_str (k, v) -> Buffer.add_string buf (key k ^ "\"" ^ Jo.escape v ^ "\"")
       | F_int (k, v) -> Buffer.add_string buf (key k ^ string_of_int v)
-      | F_float (k, v) -> Buffer.add_string buf (key k ^ json_float v)
+      | F_float (k, v) -> Buffer.add_string buf (key k ^ Jo.num v)
       | F_bool (k, v) -> Buffer.add_string buf (key k ^ string_of_bool v))
     fields;
   Buffer.add_string buf "}}";

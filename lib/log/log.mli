@@ -3,9 +3,8 @@
     [Telemetry] aggregates and [Trace] attributes cost; this module is
     the narrative channel: discrete events (a pivot cap hit, a
     rejection budget exhausted, a non-convergence verdict) rendered as
-    one JSON object per line under the versioned [spatialdb-log/1]
-    schema, so a long-running workload can be tailed, shipped and
-    machine-parsed.
+    one JSON object per line under the versioned {!schema}, so a
+    long-running workload can be tailed, shipped and machine-parsed.
 
     Discipline matches [Telemetry]/[Trace]:
 
@@ -21,8 +20,12 @@
       recorder snapshots as the last-N event tail.
 
     Event schema:
-    [{"schema": "spatialdb-log/1", "seq": …, "ts": …, "level": "…",
-      "span": …, "event": "…", "fields": {…}}]. *)
+    [{"schema": "spatialdb-log/2", "seq": …, "ts": …, "level": "…",
+      "span": …, "event": "…", "fields": {…}}].  Numbers go through
+    {!Scdb_json.Json_out.num}: a non-finite float field is [null]. *)
+
+val schema : string
+(** ["spatialdb-log/2"]. *)
 
 type level = Debug | Info | Warn | Error
 

@@ -222,19 +222,16 @@ module Status = struct
   (* Renderers                                                         *)
   (* ---------------------------------------------------------------- *)
 
-  let json_float v =
-    if Float.is_finite v then Printf.sprintf "%.17g" v
-    else if v > 0.0 then "1e308"
-    else if v < 0.0 then "-1e308"
-    else "0"
+  module Jo = Scdb_json.Json_out
 
-  let json_opt = function None -> "null" | Some v -> json_float v
+  let schema = "spatialdb-status/2"
+  let json_opt = function None -> "null" | Some v -> Jo.num v
 
   let to_json ?ts rows =
     let ts = match ts with Some t -> t | None -> Tel.Clock.now () in
     let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\"schema\": \"spatialdb-status/1\", \"ts\": ";
-    Buffer.add_string buf (json_float ts);
+    Buffer.add_string buf (Printf.sprintf "{\"schema\": \"%s\", \"ts\": " schema);
+    Buffer.add_string buf (Jo.num ts);
     Buffer.add_string buf ", \"contexts\": [";
     List.iteri
       (fun i r ->
@@ -246,10 +243,10 @@ module Status = struct
               \"acceptance\": %s, \"work\": %s, \"budget\": %s, \
               \"budget_burn\": %s, \"ess\": %s, \"warns\": %d, \"errors\": \
               %d, \"spans\": %d}"
-             (Trace.json_escape r.r_name) r.r_done (json_float r.r_elapsed)
-             (json_float r.r_draws) (json_float r.r_rate) r.r_accepted
-             r.r_attempts (json_opt r.r_acceptance) (json_float r.r_work)
-             (json_float r.r_budget) (json_opt r.r_burn) (json_opt r.r_ess)
+             (Jo.escape r.r_name) r.r_done (Jo.num r.r_elapsed)
+             (Jo.num r.r_draws) (Jo.num r.r_rate) r.r_accepted
+             r.r_attempts (json_opt r.r_acceptance) (Jo.num r.r_work)
+             (Jo.num r.r_budget) (json_opt r.r_burn) (json_opt r.r_ess)
              r.r_warns r.r_errors r.r_spans))
       rows;
     Buffer.add_string buf "]}\n";

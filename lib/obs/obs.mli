@@ -106,8 +106,12 @@ module Status : sig
       averages over the context's lifetime), so run exactly one status
       reader at a time. *)
 
+  val schema : string
+  (** ["spatialdb-status/2"]. *)
+
   val to_json : ?ts:float -> row list -> string
-  (** [spatialdb-status/1] document (one line, trailing newline). *)
+  (** {!schema} document (one line, trailing newline).  A non-finite
+      float is written as [null] ({!Scdb_json.Json_out}). *)
 
   val render : row list -> string
   (** Human table, one row per context. *)

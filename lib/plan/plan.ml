@@ -1,4 +1,5 @@
-module J = Scdb_trace.Json_min
+module J = Scdb_json.Json
+module Jo = Scdb_json.Json_out
 
 type units = { draws : float; mems : float; steps : float; trials : float }
 
@@ -367,11 +368,6 @@ let error_budget t =
 
 let schema = "spatialdb-plan/1"
 
-let jnum v =
-  if Float.is_nan v then "null"
-  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-  else Printf.sprintf "%.17g" v
-
 let attrs_of_op op =
   match op with
   | Dfk { walk_steps; phases; samples_per_phase; constraints; _ } ->
@@ -403,7 +399,7 @@ let attrs_of_op op =
 
 let units_json u =
   Printf.sprintf "{\"draws\": %s, \"mems\": %s, \"steps\": %s, \"trials\": %s, \"work\": %s}"
-    (jnum u.draws) (jnum u.mems) (jnum u.steps) (jnum u.trials) (jnum (work u))
+    (Jo.num u.draws) (Jo.num u.mems) (Jo.num u.steps) (Jo.num u.trials) (Jo.num (work u))
 
 let task_fields = function
   | Sample n -> ("sample", n)
@@ -424,11 +420,11 @@ let to_json t =
     add " \"attrs\": {";
     add
       (String.concat ", "
-         (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k (jnum v)) (attrs_of_op n.op)));
+         (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k (Jo.num v)) (attrs_of_op n.op)));
     add "},\n";
     add (pad ^ " \"per_sample\": " ^ units_json n.per_sample ^ ",\n");
     add (pad ^ " \"per_volume\": " ^ units_json n.per_volume ^ ",\n");
-    add (pad ^ Printf.sprintf " \"budget\": %s," (jnum t.budgets.(n.id)));
+    add (pad ^ Printf.sprintf " \"budget\": %s," (Jo.num t.budgets.(n.id)));
     add " \"children\": [";
     if n.children = [] then add "]}"
     else begin
@@ -446,11 +442,11 @@ let to_json t =
   add (Printf.sprintf " \"schema\": \"%s\",\n" schema);
   add (Printf.sprintf " \"task\": \"%s\",\n" task_name);
   add (Printf.sprintf " \"n\": %d,\n" n);
-  add (Printf.sprintf " \"gamma\": %s,\n" (jnum t.gamma));
-  add (Printf.sprintf " \"eps\": %s,\n" (jnum t.eps));
-  add (Printf.sprintf " \"delta\": %s,\n" (jnum t.delta));
+  add (Printf.sprintf " \"gamma\": %s,\n" (Jo.num t.gamma));
+  add (Printf.sprintf " \"eps\": %s,\n" (Jo.num t.eps));
+  add (Printf.sprintf " \"delta\": %s,\n" (Jo.num t.delta));
   add (Printf.sprintf " \"node_count\": %d,\n" t.node_count);
-  add (Printf.sprintf " \"total_work\": %s,\n" (jnum t.total_work));
+  add (Printf.sprintf " \"total_work\": %s,\n" (Jo.num t.total_work));
   add " \"root\":\n";
   node_json 2 t.root;
   add "\n}\n";

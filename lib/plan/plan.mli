@@ -152,10 +152,11 @@ val schema : string
 (** ["spatialdb-plan/1"]. *)
 
 val to_json : t -> string
-(** The [spatialdb-plan/1] document: parameters, task, total work and
-    the node tree with per-node estimates, attributes and budgets. *)
+(** The {!schema} document: parameters, task, total work and the node
+    tree with per-node estimates, attributes and budgets.  A non-finite
+    number is written as [null] ({!Scdb_json.Json_out}). *)
 
-val of_json : Scdb_trace.Json_min.t -> (t, string) result
+val of_json : Scdb_json.Json.t -> (t, string) result
 (** Reader for the same schema (validators and round-trip tests). *)
 
 val to_text_tree : t -> string

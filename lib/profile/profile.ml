@@ -1,6 +1,5 @@
 module Vm = Scdb_vm.Vm
 module Plan = Scdb_plan.Plan
-module Trace = Scdb_trace.Trace
 
 type mode = Counting | Timing
 
@@ -184,6 +183,10 @@ let text_report ?plan ?(top = 10) t =
     (per_node t);
   Buffer.contents b
 
+module Jo = Scdb_json.Json_out
+
+let schema = "spatialdb-profile/1"
+
 (* Chrome trace-event block: one complete event per plan node laid out
    sequentially (ts in µs).  In counting mode durations are the
    instruction counts — a shape view, documented in the args. *)
@@ -202,7 +205,7 @@ let trace_events t =
            "{\"name\":\"node %d\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":1,\"args\":{\"instructions\":%d,\"ns\":%.1f,\"tags\":[%s],\"unit\":\"%s\"}}"
            r.node_id !ts dur r.instructions r.node_ns
            (String.concat ","
-              (List.map (fun s -> "\"" ^ Trace.json_escape s ^ "\"") r.tags))
+              (List.map (fun s -> "\"" ^ Jo.escape s ^ "\"") r.tags))
            (if t.mode = Timing then "us" else "instructions"));
       ts := !ts +. dur)
     (per_node t);
@@ -213,7 +216,7 @@ let to_json ?plan t =
   let b = Buffer.create 4096 in
   let bases = Vm.instruction_bases t.prog in
   Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"spatialdb-profile/1\",\n";
+  Buffer.add_string b (Printf.sprintf "  \"schema\": \"%s\",\n" schema);
   Buffer.add_string b (Printf.sprintf "  \"engine\": \"%s\",\n" (engine_name t));
   Buffer.add_string b (Printf.sprintf "  \"mode\": \"%s\",\n" (mode_name t.mode));
   Buffer.add_string b (Printf.sprintf "  \"draws\": %d,\n" t.draws);
@@ -230,7 +233,7 @@ let to_json ?plan t =
         (Printf.sprintf
            "\n    {\"pc\": %d, \"opcode\": \"%s\", \"node\": %d, \"tag\": %s, \"count\": %d, \"ns\": %.1f}"
            r.pc r.opcode r.node
-           (match r.tag with Some s -> "\"" ^ Trace.json_escape s ^ "\"" | None -> "null")
+           (match r.tag with Some s -> "\"" ^ Jo.escape s ^ "\"" | None -> "null")
            r.count r.ns))
     (pc_rows t);
   Buffer.add_string b "\n  ],\n";
@@ -253,7 +256,7 @@ let to_json ?plan t =
         | Some p -> (
             match Plan.find_node p r.node_id with
             | Some n ->
-                Printf.sprintf " \"op\": \"%s\"," (Trace.json_escape (Plan.op_name n.Plan.op))
+                Printf.sprintf " \"op\": \"%s\"," (Jo.escape (Plan.op_name n.Plan.op))
             | None -> "")
       in
       Buffer.add_string b
@@ -261,7 +264,7 @@ let to_json ?plan t =
            "\n    {\"id\": %d,%s \"instructions\": %d, \"ns\": %.1f, \"tags\": [%s]}"
            r.node_id op r.instructions r.node_ns
            (String.concat ", "
-              (List.map (fun s -> "\"" ^ Trace.json_escape s ^ "\"") r.tags))))
+              (List.map (fun s -> "\"" ^ Jo.escape s ^ "\"") r.tags))))
     (per_node t);
   Buffer.add_string b "\n  ],\n";
   Buffer.add_string b (Printf.sprintf "  \"trace\": {\"traceEvents\": %s}\n" (trace_events t));

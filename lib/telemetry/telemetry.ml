@@ -405,13 +405,9 @@ let merge_registry ~dst src =
 (* Export                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* JSON floats: plain %.17g round-trips, but normalize the non-finite
-   values JSON cannot carry. *)
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.17g" v
-  else if v > 0.0 then "1e308"
-  else if v < 0.0 then "-1e308"
-  else "0"
+module Jo = Scdb_json.Json_out
+
+let schema = "spatialdb-telemetry/3"
 
 (* Snapshot the definition list (sorted by name) and pin the target
    registry's capacity so the per-metric cell reads below never miss. *)
@@ -435,7 +431,7 @@ let dump ?(only_nonzero = true) ?reg () =
   let counters = List.filter (function M_counter _ as m -> keep m | _ -> false) metrics in
   let histograms = List.filter (function M_histogram _ as m -> keep m | _ -> false) metrics in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"spatialdb-telemetry/2\",\n";
+  Buffer.add_string buf (Printf.sprintf "{\n  \"schema\": %S,\n" schema);
   Buffer.add_string buf (Printf.sprintf "  \"enabled\": %b,\n" !enabled_flag);
   Buffer.add_string buf "  \"counters\": {";
   List.iteri
@@ -443,7 +439,8 @@ let dump ?(only_nonzero = true) ?reg () =
       match m with
       | M_counter c ->
           Buffer.add_string buf
-            (Printf.sprintf "%s\n    %S: %d" (if i = 0 then "" else ",") c.c_name (ccount c))
+            (Printf.sprintf "%s\n    \"%s\": %d" (if i = 0 then "" else ",") (Jo.escape c.c_name)
+               (ccount c))
       | M_histogram _ -> ())
     counters;
   Buffer.add_string buf (if counters = [] then "},\n" else "\n  },\n");
@@ -456,21 +453,21 @@ let dump ?(only_nonzero = true) ?reg () =
           Buffer.add_string buf (if i = 0 then "\n    " else ",\n    ");
           Buffer.add_string buf
             (Printf.sprintf
-               "%S: {\"count\": %d, \"sum\": %s, \"min\": %s, \"max\": %s, \"mean\": %s, \"p50\": \
+               "\"%s\": {\"count\": %d, \"sum\": %s, \"min\": %s, \"max\": %s, \"mean\": %s, \"p50\": \
                 %s, \"p90\": %s, \"p99\": %s, \"buckets\": ["
-               h.h_name cell.n (json_float cell.sum)
-               (json_float (if cell.n = 0 then 0.0 else cell.vmin))
-               (json_float (if cell.n = 0 then 0.0 else cell.vmax))
-               (json_float (Histogram.mean_cell cell))
-               (json_float (Histogram.quantile_cell cell 0.50))
-               (json_float (Histogram.quantile_cell cell 0.90))
-               (json_float (Histogram.quantile_cell cell 0.99)));
+               (Jo.escape h.h_name) cell.n (Jo.num cell.sum)
+               (Jo.num (if cell.n = 0 then 0.0 else cell.vmin))
+               (Jo.num (if cell.n = 0 then 0.0 else cell.vmax))
+               (Jo.num (Histogram.mean_cell cell))
+               (Jo.num (Histogram.quantile_cell cell 0.50))
+               (Jo.num (Histogram.quantile_cell cell 0.90))
+               (Jo.num (Histogram.quantile_cell cell 0.99)));
           let first = ref true in
           Array.iteri
             (fun b k ->
               if k > 0 then begin
                 let le =
-                  if b < Array.length bucket_bounds then json_float bucket_bounds.(b) else "\"inf\""
+                  if b < Array.length bucket_bounds then Jo.num bucket_bounds.(b) else "\"inf\""
                 in
                 if not !first then Buffer.add_string buf ", ";
                 first := false;
@@ -501,12 +498,12 @@ let prometheus_name name =
     name;
   Buffer.contents buf
 
+(* The exposition format's own tokens for the non-finite values. *)
 let prometheus_float v =
-  (* Prometheus accepts Go-style floats; keep them finite and plain. *)
-  if Float.is_finite v then Printf.sprintf "%.17g" v
-  else if v > 0.0 then "1e308"
-  else if v < 0.0 then "-1e308"
-  else "0"
+  if Float.is_nan v then "NaN"
+  else if v = Float.infinity then "+Inf"
+  else if v = Float.neg_infinity then "-Inf"
+  else Printf.sprintf "%.17g" v
 
 let to_prometheus ?(only_nonzero = true) ?reg () =
   let r = match reg with Some r -> r | None -> Domain.DLS.get dls_reg in

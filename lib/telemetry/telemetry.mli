@@ -166,9 +166,12 @@ module Scope : sig
   val timer : t -> string -> Timer.t
 end
 
+val schema : string
+(** ["spatialdb-telemetry/3"]: the schema tag {!dump} writes. *)
+
 val dump : ?only_nonzero:bool -> ?reg:Registry.t -> unit -> string
-(** JSON snapshot of a registry (schema [spatialdb-telemetry/2];
-    default: the ambient registry):
+(** JSON snapshot of a registry (schema {!schema}; default: the
+    ambient registry):
     [{"schema": …, "enabled": …, "counters": {name: value, …},
       "histograms": {name: {"count": …, "sum": …, "min": …, "max": …,
       "mean": …, "p50": …, "p90": …, "p99": …,
@@ -179,7 +182,9 @@ val dump : ?only_nonzero:bool -> ?reg:Registry.t -> unit -> string
     cumulative) counts with [le] the bucket's inclusive upper bound
     (["inf"] for the overflow bucket); zero-count buckets are omitted,
     and [only_nonzero] (default [true]) also omits never-touched
-    metrics.  Timers appear under [histograms] as [<name>.seconds]. *)
+    metrics.  Timers appear under [histograms] as [<name>.seconds].
+    Numbers go through {!Scdb_json.Json_out.num}: a non-finite sum,
+    extremum or quantile (a NaN was observed) is written as [null]. *)
 
 val to_prometheus : ?only_nonzero:bool -> ?reg:Registry.t -> unit -> string
 (** Render a registry (default: ambient) in the Prometheus text
@@ -189,9 +194,9 @@ val to_prometheus : ?only_nonzero:bool -> ?reg:Registry.t -> unit -> string
     histograms and timers become [summary] families with
     [quantile="0.5"/"0.9"/"0.99"] samples plus exact [_sum] and
     [_count], and [_min]/[_max] gauge families carrying the exact
-    observed extrema (0 on empty cells, as in {!dump}).  All values
-    are finite (non-finite sums are clamped like {!dump}).
-    [only_nonzero] as in {!dump}. *)
+    observed extrema (0 on empty cells, as in {!dump}).  Non-finite
+    values use the exposition format's own [NaN], [+Inf] and [-Inf]
+    tokens.  [only_nonzero] as in {!dump}. *)
 
 val counter_value : ?reg:Registry.t -> string -> int option
 (** Registry lookup by name (default: ambient), for tests, report

@@ -235,28 +235,17 @@ end
 
 let current_forest () = cur ()
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Jo = Scdb_json.Json_out
 
-let json_num v =
-  if Float.is_finite v then Printf.sprintf "%.3f" v else if v > 0.0 then "1e308" else "0"
+(* Chrome's microsecond timestamps keep three decimals (the one finite
+   format that is not [Json_out.num]); non-finite ones follow the
+   shared rule and become null. *)
+let us v = if Float.is_finite v then Printf.sprintf "%.3f" v else Jo.num v
 
 (* Chrome trace-event format: an object with a [traceEvents] array of
    complete ("ph":"X") events, microsecond timestamps.  Loads in
    chrome://tracing and Perfetto. *)
-let to_chrome_json () =
+let to_chrome_json ?(spans = spans ()) () =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
   List.iteri
@@ -264,19 +253,19 @@ let to_chrome_json () =
       Buffer.add_string buf (if i = 0 then "\n" else ",\n");
       Buffer.add_string buf
         (Printf.sprintf "{\"name\": \"%s\", \"cat\": \"spatialdb\", \"ph\": \"X\", \"pid\": 1, \"tid\": 1, \"ts\": %s, \"dur\": %s"
-           (json_escape v.v_name) (json_num v.v_ts_us) (json_num v.v_dur_us));
+           (Jo.escape v.v_name) (us v.v_ts_us) (us v.v_dur_us));
       if v.v_attrs <> [] then begin
         Buffer.add_string buf ", \"args\": {";
         List.iteri
           (fun j (k, value) ->
             if j > 0 then Buffer.add_string buf ", ";
             Buffer.add_string buf
-              (Printf.sprintf "\"%s\": \"%s\"" (json_escape k) (json_escape value)))
+              (Printf.sprintf "\"%s\": \"%s\"" (Jo.escape k) (Jo.escape value)))
           v.v_attrs;
         Buffer.add_string buf "}"
       end;
       Buffer.add_string buf "}")
-    (spans ());
+    spans;
   Buffer.add_string buf "\n]}";
   Buffer.contents buf
 

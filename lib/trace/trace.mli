@@ -119,13 +119,11 @@ val spans : unit -> view list
 
 val count : unit -> int
 
-val to_chrome_json : unit -> string
+val to_chrome_json : ?spans:view list -> unit -> string
 (** Chrome trace-event JSON: [{"displayTimeUnit": "ms", "traceEvents":
-    [{"name": …, "ph": "X", "ts": …, "dur": …, "args": {…}}, …]}]. *)
+    [{"name": …, "ph": "X", "ts": …, "dur": …, "args": {…}}, …]}] of
+    [spans] (default {!val:spans}).  Timestamps keep three decimals; a
+    non-finite one is written as [null] ({!Scdb_json.Json_out}). *)
 
 val to_text_tree : unit -> string
 (** Indented per-span text rendering with durations in milliseconds. *)
-
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal (shared by
-    the report writers). *)

@@ -85,6 +85,76 @@ let profile_tests =
         check "bogus" 2 ("report " ^ fig1 ^ " -n 2 --engine bogus"));
   ]
 
+(* The document validator (bench/validate.exe) on fresh output of each
+   kind; it sits next to the binary in the build tree. *)
+let validator =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "bench" "validate.exe")
+
+let validate args = Sys.command (Filename.quote validator ^ " " ^ args ^ " >/dev/null 2>&1")
+
+let union =
+  "-v x,y -f \"(x >= 0 /\\ y >= 0 /\\ x + y <= 1) \\/ (x >= 2 /\\ x <= 3 /\\ y >= 0 /\\ y <= 1)\""
+
+(* Run [f] on fresh temporary file names, removed afterwards. *)
+let with_files names f =
+  let paths = List.map (fun n -> Filename.temp_file "spatialdb_validate" n) names in
+  Fun.protect ~finally:(fun () -> List.iter (fun p -> if Sys.file_exists p then Sys.remove p) paths)
+    (fun () -> f paths)
+
+(* Replace the first number after [key] in [doc] with null. *)
+let null_after key doc =
+  let rec find i = if String.sub doc i (String.length key) = key then i else find (i + 1) in
+  let start = find 0 + String.length key in
+  let stop = ref start in
+  while not (String.contains ",]}" doc.[!stop]) do
+    incr stop
+  done;
+  String.sub doc 0 start ^ "null" ^ String.sub doc !stop (String.length doc - !stop)
+
+let validate_tests =
+  let q = Filename.quote in
+  let accepts kind args = Alcotest.(check int) (kind ^ " accepted") 0 (validate (kind ^ " " ^ args)) in
+  [
+    t "validate accepts fresh reports and rejects a null R-hat" (fun () ->
+        with_files [ ".json"; ".json"; ".json" ] @@ function
+        | [ interp; vmopt; broken ] ->
+            check "report" 0 ("report " ^ fig1 ^ " -n 2 --seed 42 -o " ^ q interp);
+            accepts "report" (q interp);
+            check "vm-opt report" 0 ("report " ^ union ^ " -n 2 --seed 42 --engine vm-opt -o " ^ q vmopt);
+            accepts "report" (q vmopt);
+            let doc = In_channel.with_open_bin interp In_channel.input_all in
+            Out_channel.with_open_bin broken (fun oc -> output_string oc (null_after "\"rhat\": [" doc));
+            Alcotest.(check int) "null R-hat rejected" 1 (validate ("report " ^ q broken))
+        | _ -> assert false);
+    t "validate accepts a fresh plan and profile" (fun () ->
+        with_files [ ".json"; ".json" ] @@ function
+        | [ plan; profile ] ->
+            Alcotest.(check int) "explain" 0
+              (Sys.command (q binary ^ " explain " ^ fig1 ^ " --format json > " ^ q plan));
+            accepts "plan" (q plan);
+            check "profile" 0 ("profile " ^ union ^ " -n 5 --seed 42 --out " ^ q profile);
+            accepts "profile" (q profile)
+        | _ -> assert false);
+    t "validate accepts fresh logs, metrics and status" (fun () ->
+        with_files [ ".jsonl"; ".prom"; ".json" ] @@ function
+        | [ log; prom; status ] ->
+            check "sample" 0
+              ("sample " ^ fig1 ^ " -n 5 --seed 42 --log-level debug --log-out " ^ q log
+             ^ " --metrics-out " ^ q prom);
+            accepts "logs" ("--log " ^ q log ^ " --metrics " ^ q prom);
+            check "jobs" 0 ("sample " ^ union ^ " -n 20 --seed 42 --jobs 2 --status-out " ^ q status);
+            accepts "status" (q status ^ " --min-contexts 2")
+        | _ -> assert false);
+    t "validate accepts a fresh audit" (fun () ->
+        with_files [ ".json" ] @@ function
+        | [ audit ] ->
+            check "audit" 0 ("audit " ^ fig1 ^ " --seed 1 --runs 4 --oracle exact --out " ^ q audit);
+            accepts "audit" (q audit)
+        | _ -> assert false);
+  ]
+
 let suites =
   [
     ("cli.success", success_tests);
@@ -92,4 +162,5 @@ let suites =
     ("cli.cmdline", cmdline_tests);
     ("cli.runtime", runtime_tests);
     ("cli.profile", profile_tests);
+    ("cli.validate", validate_tests);
   ]

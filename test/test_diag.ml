@@ -153,7 +153,7 @@ let harness_tests =
         match Diag_run.run ~samples_per_chain:16 rng (P.simplex 2) with
         | None -> Alcotest.fail "triangle should round"
         | Some d -> (
-            let module J = Scdb_trace.Json_min in
+            let module J = Scdb_json.Json in
             let doc = J.parse (Diag_run.to_json d) in
             match J.member "rhat" doc with
             | Some r ->

@@ -19,6 +19,7 @@ let () =
          Test_uniformity.suites;
          Test_telemetry.suites;
          Test_trace.suites;
+         Test_json.suites;
          Test_diag.suites;
          Test_report.suites;
          Test_log.suites;

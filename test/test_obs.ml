@@ -11,7 +11,7 @@ module Tel = Scdb_telemetry.Telemetry
 module Trace = Scdb_trace.Trace
 module Log = Scdb_log.Log
 module Rng = Scdb_rng.Rng
-module J = Scdb_trace.Json_min
+module J = Scdb_json.Json
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -378,7 +378,7 @@ let status_tests =
             close_in ic;
             let doc = J.parse s in
             Alcotest.(check (option string))
-              "schema" (Some "spatialdb-status/1")
+              "schema" (Some Obs.Status.schema)
               (Option.bind (J.member "schema" doc) J.to_string);
             let ctxs =
               Option.get (Option.bind (J.member "contexts" doc) J.to_list)

@@ -5,7 +5,7 @@
 
 module Plan = Scdb_plan.Plan
 module Cost = Scdb_plan.Cost
-module J = Scdb_trace.Json_min
+module J = Scdb_json.Json
 module Chernoff = Scdb_sampling.Chernoff
 module HR = Scdb_sampling.Hit_and_run
 module W = Scdb_sampling.Walk

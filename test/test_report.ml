@@ -1,8 +1,8 @@
-(* End-to-end tests for the spatialdb-report/4 generator on the paper's
+(* End-to-end tests for the spatialdb-report generator on the paper's
    Figure 1 triangle. *)
 
 module Report = Scdb_gis.Report
-module J = Scdb_trace.Json_min
+module J = Scdb_json.Json
 
 let ts name f = Alcotest.test_case name `Slow f
 let t name f = Alcotest.test_case name `Quick f
@@ -20,12 +20,12 @@ let report_tests =
         | Error e -> Alcotest.failf "generate failed: %s" e
         | Ok r ->
             let doc = J.parse r.Report.json in
-            Alcotest.(check (option string)) "schema" (Some "spatialdb-report/4")
+            Alcotest.(check (option string)) "schema" (Some Report.schema)
               (J.to_string (get "schema" (J.member "schema" doc)));
-            (* The embedded plan is a valid spatialdb-plan/1 document
+            (* The embedded plan is a valid plan document
                budgeted for the report task. *)
             let plan = get "plan" (J.member "plan" doc) in
-            Alcotest.(check (option string)) "plan schema" (Some "spatialdb-plan/1")
+            Alcotest.(check (option string)) "plan schema" (Some Scdb_plan.Plan.schema)
               (J.to_string (get "plan.schema" (J.member "schema" plan)));
             Alcotest.(check (option string)) "plan task" (Some "report")
               (J.to_string (get "plan.task" (J.member "task" plan)));
@@ -72,7 +72,8 @@ let report_tests =
             Alcotest.(check int) "trace matches span_count" (int_of_float span_count)
               (List.length events);
             (* Telemetry snapshot rides along. *)
-            Alcotest.(check (option string)) "telemetry schema" (Some "spatialdb-telemetry/2")
+            Alcotest.(check (option string)) "telemetry schema"
+              (Some Scdb_telemetry.Telemetry.schema)
               (J.to_string
                  (get "telemetry.schema"
                     (J.member "schema" (get "telemetry" (J.member "telemetry" doc)))));

@@ -83,7 +83,7 @@ let quantile_tests =
             (* Log-spaced buckets are coarse but the interpolated median
                of U[0,1] must land in the right neighbourhood. *)
             Alcotest.(check bool) "p50 near 0.5" true (p50 > 0.3 && p50 < 0.7)));
-    t "dump carries schema v2 and quantile keys" (fun () ->
+    t "dump carries schema v3 and quantile keys" (fun () ->
         with_enabled (fun () ->
             let h = Tel.Histogram.make "test.q.dump" in
             Tel.Histogram.observe h 1.0;
@@ -94,7 +94,8 @@ let quantile_tests =
               let rec go i = i + nl <= l && (String.sub json i nl = needle || go (i + 1)) in
               go 0
             in
-            Alcotest.(check bool) "schema v2" true (contains "spatialdb-telemetry/2");
+            Alcotest.(check bool) "schema v3" true (contains Tel.schema);
+            Alcotest.(check string) "schema value" "spatialdb-telemetry/3" Tel.schema;
             Alcotest.(check bool) "p50" true (contains "\"p50\"");
             Alcotest.(check bool) "p90" true (contains "\"p90\"");
             Alcotest.(check bool) "p99" true (contains "\"p99\"")));

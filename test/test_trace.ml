@@ -1,9 +1,9 @@
 (* Tests for the span tracer: nesting (also under exceptions), the
    zero-allocation disabled path, the span cap, and the Chrome
-   trace-event export round-tripped through Json_min. *)
+   trace-event export round-tripped through the JSON reader. *)
 
 module Trace = Scdb_trace.Trace
-module J = Scdb_trace.Json_min
+module J = Scdb_json.Json
 
 let t name f = Alcotest.test_case name `Quick f
 
