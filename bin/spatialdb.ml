@@ -96,10 +96,8 @@ let methods = [ "walk"; "grid"; "rejection" ]
 let check_method m =
   if not (List.mem m methods) then usage_die "method" m methods
 
-let engines = [ "interp"; "vm"; "vm-opt" ]
-
 let check_engine e =
-  if not (List.mem e engines) then usage_die "engine" e engines
+  if not (List.mem e Flight.engines) then usage_die "engine" e Flight.engines
 
 let engine_arg =
   let doc =
@@ -222,15 +220,7 @@ let split_vars s = String.split_on_char ',' s |> List.map String.trim |> List.fi
 
 let parse_relation vars_s formula =
   let vars = split_vars vars_s in
-  if vars = [] then Error "no variables given"
-  else begin
-    match Parser.parse ~vars formula with
-    | f ->
-        let f = if Formula.is_quantifier_free f then f else FM.eliminate f in
-        Ok (vars, Relation.of_formula ~dim:(List.length vars) f)
-    | exception Parser.Parse_error m -> Error ("parse error: " ^ m)
-    | exception Lexer.Lex_error (m, pos) -> Error (Printf.sprintf "lex error at %d: %s" pos m)
-  end
+  Result.map (fun r -> (vars, r)) (Flight.parse_relation ~vars formula)
 
 (* ---------------- sample ---------------- *)
 
@@ -800,8 +790,8 @@ let profile_cmd =
   in
   let run vars_s formula n seed eps delta method_ engine mode_s out top stats stats_out o =
     check_method method_;
-    if not (List.mem engine [ "vm"; "vm-opt" ]) then
-      usage_die "engine" engine [ "vm"; "vm-opt" ];
+    let compiled = List.filter (( <> ) "interp") Flight.engines in
+    if not (List.mem engine compiled) then usage_die "engine" engine compiled;
     let mode = profile_mode_of_string mode_s in
     enable_stats ?stats_out stats;
     setup_obs o;
@@ -1026,11 +1016,11 @@ let explain_cmd =
       | _ -> Convex_obs.Hit_and_run
     in
     let config = { Convex_obs.practical_config with Convex_obs.sampler } in
+    (* The plan is built over the prepared pieces (the rng-consuming
+       rounding half), so explain takes the seed the run would use. *)
+    let rng = Rng.create seed in
     if format = "program" then begin
-      (* Lowering needs the prepared pieces (the rng-consuming rounding
-         half), so this format takes the seed the run would use. *)
       let task = (match task with Scdb_plan.Plan.Volume -> Scdb_plan.Plan.Sample n | t -> t) in
-      let rng = Rng.create seed in
       let optimize = engine = "vm-opt" in
       match
         Scdb_gis.Plan_exec.compiled_of_relation ~config ~optimize ~gamma:Flight.gamma ~eps
@@ -1042,10 +1032,10 @@ let explain_cmd =
     end
     else
       match
-        Scdb_gis.Plan_build.of_relation ~config ~gamma:Flight.gamma ~eps ~delta ~task relation
+        Scdb_gis.Plan_build.of_relation ~config ~gamma:Flight.gamma ~eps ~delta ~task rng relation
       with
       | None -> or_die (Error "relation is empty, unbounded or lower-dimensional")
-      | Some plan ->
+      | Some (plan, _) ->
           print_string
             (match format with
             | "json" -> Scdb_plan.Plan.to_json plan
@@ -1053,7 +1043,8 @@ let explain_cmd =
   in
   let doc =
     "Show the query plan and its paper-derived cost estimates (predicted walk steps, trials, \
-     rng draws, membership tests and per-node work budgets) without sampling anything."
+     rng draws, membership tests and per-node work budgets) without drawing a sample (only the \
+     seeded rounding of each piece runs)."
   in
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(

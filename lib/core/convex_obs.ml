@@ -47,6 +47,8 @@ let prepare ?(config = default_config) ?relation rng poly =
           p_r_sup = rounded.Rounding.r_sup;
         }
 
+let with_sampler sampler p = { p with p_config = { p.p_config with sampler } }
+
 let observe p =
   let config = p.p_config in
   let dim = p.p_dim in

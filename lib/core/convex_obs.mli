@@ -72,6 +72,10 @@ val prepare_relation : ?config:config -> Rng.t -> Relation.t -> prepared option
 (** [prepare] for a single-tuple relation, mirroring {!make}.
     @raise Invalid_argument if the relation has more than one tuple. *)
 
+val with_sampler : sampler -> prepared -> prepared
+(** The same rounded piece under another sampler: what the plan
+    rewrite pass substitutes for a leaf ({!Plan_obs}). *)
+
 val observe : prepared -> Observable.t
 (** Build the interpreted observable over a prepared piece.  Pure — no
     rng draws. *)

@@ -1,0 +1,39 @@
+(** One plan, two executors: the plan rewrite pass and the one
+    plan→observable translation.
+
+    A finalized {!Scdb_plan.Plan.t} over its prepared convex pieces
+    (given in preorder leaf order, one per dfk/guard leaf) is all either
+    executor needs.  {!observables} turns it into the interpreted
+    observable tree; the compiled engine ({!Scdb_vm.Vm}) lowers the same
+    plan and estimates its weight prologues through the same tree.
+    {!rewrite} is the one place the optimized engine's decisions are
+    made; both executors read them off the plan nodes, so the
+    interpreter on a rewritten plan is the bit-exact oracle of
+    [--engine vm-opt]. *)
+
+val rewrite : Scdb_plan.Plan.t -> Convex_obs.prepared array -> Scdb_plan.Plan.t
+(** The cost-based rewrite pass.  It marks, on each dfk leaf:
+    - [Shared id] when an earlier sibling leaf [id] of the same union
+      has an equal original body and sampler configuration — the leaf
+      then reuses that leaf's piece and volume estimate (rounding draws
+      differ between duplicates, but any rounding of the same body
+      yields the same distribution);
+    - otherwise [Rejection_box] when the leaf walks by hit-and-run, its
+      rounded body has a bounding box, and
+      {!Scdb_plan.Cost.rejection_box_trials} is at most its walk
+      schedule.
+    Structure, ids and costs are unchanged.
+    @raise Invalid_argument when the piece count differs from the
+    plan's leaf count. *)
+
+val observables : Scdb_plan.Plan.t -> Convex_obs.prepared array -> Observable.t array
+(** The interpreted observable of every node, indexed by node id, each
+    wrapped so its sample and volume calls run under
+    [Progress.with_node id] (rng-free, so stream-preserving).  Dfk and
+    guard leaves observe their piece — under the [Rejection_box]
+    sampler when so rewritten; a [Shared] leaf reuses the earlier
+    leaf's observable, whose volume is cached, so it costs no draws.
+    Unions, intersections and differences build {!Union}, {!Inter} and
+    {!Diff}.
+    @raise Invalid_argument on grid, projection and boosting nodes, or
+    on a piece count mismatch. *)

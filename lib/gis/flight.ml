@@ -2,6 +2,7 @@ module FM = Scdb_qe.Fourier_motzkin
 module Tel = Scdb_telemetry.Telemetry
 module Log = Scdb_log.Log
 module Flightrec = Scdb_log.Flightrec
+module Trace = Scdb_trace.Trace
 
 type args = {
   vars : string list;
@@ -35,19 +36,28 @@ let sampler_of_method = function
   | "rejection" -> Ok Convex_obs.Rejection_box
   | m -> Error ("unknown method " ^ m)
 
-let check_engine = function
-  | ("interp" | "vm" | "vm-opt") as e -> Ok e
-  | e -> Error ("unknown engine " ^ e)
+let engines = [ "interp"; "vm"; "vm-opt" ]
+let check_engine e = if List.mem e engines then Ok e else Error ("unknown engine " ^ e)
 
-let parse_relation a =
-  if a.vars = [] then Error "no variables given"
+let parse_relation ~vars formula =
+  if vars = [] then Error "no variables given"
   else begin
-    match Parser.parse ~vars:a.vars a.formula with
-    | f ->
-        let f = if Formula.is_quantifier_free f then f else FM.eliminate f in
-        Ok (Relation.of_formula ~dim:(List.length a.vars) f)
-    | exception Parser.Parse_error m -> Error ("parse error: " ^ m)
-    | exception Lexer.Lex_error (m, pos) -> Error (Printf.sprintf "lex error at %d: %s" pos m)
+    let parsed =
+      Trace.span "formula.parse" (fun () ->
+          match Parser.parse ~vars formula with
+          | f -> Ok f
+          | exception Parser.Parse_error m -> Error ("parse error: " ^ m)
+          | exception Lexer.Lex_error (m, pos) ->
+              Error (Printf.sprintf "lex error at %d: %s" pos m))
+    in
+    Result.map
+      (fun f ->
+        let f =
+          if Formula.is_quantifier_free f then f
+          else Trace.span "qe.eliminate" (fun () -> FM.eliminate f)
+        in
+        Relation.of_formula ~dim:(List.length vars) f)
+      parsed
   end
 
 let run_inner ~track ~progress ~ticker ?overrun_factor ?profile_mode a =
@@ -58,7 +68,7 @@ let run_inner ~track ~progress ~ticker ?overrun_factor ?profile_mode a =
       Error "profiling requires a compiled engine (--engine vm or vm-opt)"
     else Ok ()
   in
-  let* relation = parse_relation a in
+  let* relation = parse_relation ~vars:a.vars a.formula in
   if track then begin
     Rng.Provenance.reset ();
     Rng.Provenance.set_tracking true

@@ -24,6 +24,15 @@ type args = {
           distribution, different stream) *)
 }
 
+val engines : string list
+(** The execution engines, in the order the CLI lists them:
+    [["interp"; "vm"; "vm-opt"]]. *)
+
+val parse_relation : vars:string list -> string -> (Relation.t, string) result
+(** Parse FO+LIN source over [vars] and eliminate its quantifiers
+    (Fourier–Motzkin) — inside [formula.parse] and [qe.eliminate]
+    trace spans.  [Error] on no variables, a parse or a lex error. *)
+
 val gamma : float
 (** The CLI's fixed grid parameter (0.05): replay and the cost model
     must reproduce it exactly, so it lives here rather than in bin/. *)

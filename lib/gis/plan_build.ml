@@ -1,5 +1,4 @@
 module Plan = Scdb_plan.Plan
-module Polytope = Scdb_polytope.Polytope
 module Volume = Scdb_sampling.Volume
 
 let method_name (c : Convex_obs.config) =
@@ -18,28 +17,29 @@ let leaf_node ?(config = Convex_obs.practical_config) ~eps ~delta ~dim tuple =
     ~constraints:(List.length tuple)
     ?volume_budget:(volume_budget_of config) ()
 
-(* Static stand-in for the viability checks [Convex_obs.make] performs
-   at runtime (empty / unbounded bodies yield no observable): EXPLAIN
-   may not sample, so lower-dimensionality — which the runtime detects
-   during well-rounding — is not re-checked here. *)
-let tuple_viable ~dim tuple =
-  let poly = Polytope.of_tuple ~dim tuple in
-  (not (Polytope.is_empty poly)) && Polytope.bounding_box poly <> None
-
-let node_of_relation ?(config = Convex_obs.practical_config) ~eps ~delta r =
+let of_relation ?(config = Convex_obs.practical_config) ~gamma ~eps ~delta ~task rng r =
   let dim = Relation.dim r in
-  match List.filter (tuple_viable ~dim) (Relation.tuples r) with
-  | [] -> None
-  | [ tuple ] -> Some (leaf_node ~config ~eps ~delta ~dim tuple)
-  | many ->
-      (* Children are costed at the sub-call parameters the union
-         threads down: ε/3 generators, δ/(4m) setup volumes. *)
-      let m = List.length many in
-      let sub_eps = eps /. 3.0 and sub_delta = delta /. float_of_int (4 * m) in
-      let children =
-        List.map (leaf_node ~config ~eps:sub_eps ~delta:sub_delta ~dim) many
-      in
-      Some (Plan.union_ ~eps ~delta children)
-
-let of_relation ?config ~gamma ~eps ~delta ~task r =
-  Option.map (Plan.finalize ~gamma ~eps ~delta ~task) (node_of_relation ?config ~eps ~delta r)
+  let pieces =
+    List.filter_map
+      (fun tuple ->
+        Option.map
+          (fun prep -> (tuple, prep))
+          (Convex_obs.prepare_relation ~config rng (Relation.make ~dim [ tuple ])))
+      (Relation.tuples r)
+  in
+  let root =
+    match pieces with
+    | [] -> None
+    | [ (tuple, _) ] -> Some (leaf_node ~config ~eps ~delta ~dim tuple)
+    | many ->
+        (* Children are costed at the sub-call parameters the union
+           threads down: ε/3 generators, δ/(4m) setup volumes. *)
+        let m = List.length many in
+        let sub_eps = eps /. 3.0 and sub_delta = delta /. float_of_int (4 * m) in
+        let leaf (tuple, _) = leaf_node ~config ~eps:sub_eps ~delta:sub_delta ~dim tuple in
+        Some (Plan.union_ ~eps ~delta (List.map leaf many))
+  in
+  Option.map
+    (fun root ->
+      (Plan.finalize ~gamma ~eps ~delta ~task root, Array.of_list (List.map snd pieces)))
+    root

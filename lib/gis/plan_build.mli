@@ -1,13 +1,11 @@
-(** Static query plans for GIS relations — the EXPLAIN path.
+(** Query plans for GIS relations.
 
-    Mirrors {!Eval.observable_of_relation} without touching an RNG:
-    every viable generalized tuple becomes a DFK leaf (costed for the
-    configured sampler and volume budget), and multi-tuple relations
-    get a Karp–Luby union root whose children are costed at the
-    sub-call parameters the runtime threads down (ε/3, δ/(4m)).
-    Nothing is sampled; viability is the static polytope check
-    (non-empty, bounded), a conservative stand-in for the runtime's
-    well-rounding test. *)
+    Every generalized tuple that survives well-rounding becomes a DFK
+    leaf (costed for the configured sampler and volume budget), and
+    multi-tuple relations get a Karp–Luby union root whose children are
+    costed at the sub-call parameters the runtime threads down (ε/3,
+    δ/(4m)).  Nothing is sampled: the rounding preprocessing is the
+    only rng consumer. *)
 
 val method_name : Convex_obs.config -> string
 (** ["walk"], ["grid"] or ["rejection"] — the plan-leaf method label
@@ -24,20 +22,21 @@ val leaf_node :
     tuples it has already built an observable for).  Default config is
     {!Convex_obs.practical_config}. *)
 
-val node_of_relation :
-  ?config:Convex_obs.config ->
-  eps:float ->
-  delta:float ->
-  Relation.t ->
-  Scdb_plan.Plan.node option
-(** Plan tree for a relation: [None] when no tuple is viable. *)
-
 val of_relation :
   ?config:Convex_obs.config ->
   gamma:float ->
   eps:float ->
   delta:float ->
   task:Scdb_plan.Plan.task ->
+  Rng.t ->
   Relation.t ->
-  Scdb_plan.Plan.t option
-(** {!node_of_relation} followed by [Plan.finalize]. *)
+  (Scdb_plan.Plan.t * Convex_obs.prepared array) option
+(** The one relation→plan translation: every generalized tuple is rounded
+    ({!Convex_obs.prepare_relation}, the rng-consuming half of
+    generator construction), each tuple that yields a piece becomes a
+    {!leaf_node}, two or more leaves go under a {!Scdb_plan.Plan.union_}
+    root, and the tree is finalized for [task].  Returns the plan with
+    its pieces in preorder leaf order — what {!Scdb_core.Plan_obs} and
+    {!Scdb_vm.Vm.compile} consume — so plan ids and runtime attribution
+    agree by construction.  [None] when no tuple yields a piece (empty,
+    unbounded or lower-dimensional). *)

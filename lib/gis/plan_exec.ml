@@ -1,82 +1,16 @@
 module Plan = Scdb_plan.Plan
 module Progress = Scdb_progress.Progress
 
-let tag id (obs : Observable.t) =
-  {
-    obs with
-    Observable.sample =
-      (fun rng params -> Progress.with_node id (fun () -> obs.Observable.sample rng params));
-    volume =
-      (fun rng ~gamma ~eps ~delta ->
-        Progress.with_node id (fun () -> obs.Observable.volume rng ~gamma ~eps ~delta));
-  }
+let observable_of_relation ?config ~gamma ~eps ~delta ~task rng r =
+  Option.map
+    (fun (plan, pieces) ->
+      (plan, (Plan_obs.observables plan pieces).(plan.Plan.root.Plan.id)))
+    (Plan_build.of_relation ?config ~gamma ~eps ~delta ~task rng r)
 
-let observable_of_relation ?(config = Convex_obs.practical_config) ~gamma ~eps ~delta ~task
-    rng r =
-  let dim = Relation.dim r in
-  let pieces =
-    List.filter_map
-      (fun tuple ->
-        Option.map
-          (fun obs -> (tuple, obs))
-          (Convex_obs.make ~config rng (Relation.make ~dim [ tuple ])))
-      (Relation.tuples r)
-  in
-  match pieces with
-  | [] -> None
-  | [ (tuple, obs) ] ->
-      let node = Plan_build.leaf_node ~config ~eps ~delta ~dim tuple in
-      let plan = Plan.finalize ~gamma ~eps ~delta ~task node in
-      Some (plan, tag plan.Plan.root.Plan.id obs)
-  | many ->
-      let m = List.length many in
-      let sub_eps = eps /. 3.0 and sub_delta = delta /. float_of_int (4 * m) in
-      let leaves =
-        List.map
-          (fun (tuple, _) -> Plan_build.leaf_node ~config ~eps:sub_eps ~delta:sub_delta ~dim tuple)
-          many
-      in
-      let plan = Plan.finalize ~gamma ~eps ~delta ~task (Plan.union_ ~eps ~delta leaves) in
-      let wrapped =
-        List.map2
-          (fun child (_, obs) -> tag child.Plan.id obs)
-          plan.Plan.root.Plan.children many
-      in
-      Some (plan, tag plan.Plan.root.Plan.id (Union.union wrapped))
-
-(* Mirror of [observable_of_relation] for the compiled engine: same
-   per-tuple preprocessing draws (prepare is the rng half of make), same
-   plan, but the pieces feed the plan→kernel compiler instead of the
-   interpreter.  Keeping the two in lockstep is what makes [--engine vm]
-   replay interpreter-recorded flights bit-for-bit. *)
-let compiled_of_relation ?(config = Convex_obs.practical_config) ?(optimize = false) ~gamma
-    ~eps ~delta ~task rng r =
-  let dim = Relation.dim r in
-  let pieces =
-    List.filter_map
-      (fun tuple ->
-        Option.map
-          (fun prep -> (tuple, prep))
-          (Convex_obs.prepare_relation ~config rng (Relation.make ~dim [ tuple ])))
-      (Relation.tuples r)
-  in
-  match pieces with
-  | [] -> None
-  | [ (tuple, prep) ] ->
-      let node = Plan_build.leaf_node ~config ~eps ~delta ~dim tuple in
-      let plan = Plan.finalize ~gamma ~eps ~delta ~task node in
-      Some (plan, Scdb_vm.Vm.compile ~optimize ~plan ~pieces:[| prep |] ())
-  | many ->
-      let m = List.length many in
-      let sub_eps = eps /. 3.0 and sub_delta = delta /. float_of_int (4 * m) in
-      let leaves =
-        List.map
-          (fun (tuple, _) -> Plan_build.leaf_node ~config ~eps:sub_eps ~delta:sub_delta ~dim tuple)
-          many
-      in
-      let plan = Plan.finalize ~gamma ~eps ~delta ~task (Plan.union_ ~eps ~delta leaves) in
-      let preps = Array.of_list (List.map snd many) in
-      Some (plan, Scdb_vm.Vm.compile ~optimize ~plan ~pieces:preps ())
+let compiled_of_relation ?config ?(optimize = false) ~gamma ~eps ~delta ~task rng r =
+  Option.map
+    (fun (plan, pieces) -> (plan, Scdb_vm.Vm.compile ~optimize ~plan ~pieces ()))
+    (Plan_build.of_relation ?config ~gamma ~eps ~delta ~task rng r)
 
 let arm ?overrun_factor plan =
   let rows =

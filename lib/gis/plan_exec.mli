@@ -1,16 +1,14 @@
 (** Plan-tagged execution: the bridge from static plans to the
-    progress bus and the predicted-vs-actual attribution table.
+    executors, the progress bus and the predicted-vs-actual attribution
+    table.
 
-    Builds the same observable tree as {!Eval.observable_of_relation}
-    while constructing the matching {!Scdb_plan.Plan.t}, and wraps
-    every observable so its sample/volume calls run inside
-    [Progress.with_node] with the plan-node id — the accrued actuals
+    Both engines start from {!Plan_build.of_relation}: the interpreter
+    runs {!Scdb_core.Plan_obs.observables} over the plan, the VM
+    compiles it.  Every node's sample/volume calls run inside
+    [Progress.with_node] with the plan-node id, so the accrued actuals
     land on exactly the node whose budget predicted them.  The wrapper
     is transparent to the RNG stream, so flight-recorder replay is
     unaffected. *)
-
-val tag : int -> Observable.t -> Observable.t
-(** Wrap sample/volume in [Progress.with_node id]. *)
 
 val observable_of_relation :
   ?config:Convex_obs.config ->
@@ -21,9 +19,8 @@ val observable_of_relation :
   Rng.t ->
   Relation.t ->
   (Scdb_plan.Plan.t * Observable.t) option
-(** Build plan and tagged observable together, from the tuples that
-    actually yielded observables — plan ids and runtime attribution
-    agree by construction. *)
+(** {!Plan_build.of_relation}, then the interpreted root of
+    {!Scdb_core.Plan_obs.observables}. *)
 
 val compiled_of_relation :
   ?config:Convex_obs.config ->
@@ -35,13 +32,12 @@ val compiled_of_relation :
   Rng.t ->
   Relation.t ->
   (Scdb_plan.Plan.t * (Scdb_vm.Vm.t, string) result) option
-(** The compiled-engine twin of {!observable_of_relation}: identical
-    per-tuple preprocessing rng draws and identical plan, but the
-    prepared pieces are lowered through {!Scdb_vm.Vm.compile} (strict
-    mirror by default; [optimize:true] enables the stream-changing
-    cost-based rewrites).  [None] under the same emptiness conditions;
-    [Some (plan, Error _)] when the plan has a shape the compiler
-    refuses. *)
+(** The compiled-engine twin of {!observable_of_relation}: the same
+    plan and pieces lowered through {!Scdb_vm.Vm.compile} (strict
+    mirror by default; [optimize:true] compiles the rewritten plan).
+    [None] under the same emptiness conditions; [Some (plan, Error _)]
+    when the plan has a shape the compiler refuses.  The returned plan
+    is the one the run is budgeted against, before any rewrite. *)
 
 val arm : ?overrun_factor:float -> Scdb_plan.Plan.t -> unit
 (** [Progress.start] with the plan's budget rows. *)
@@ -60,8 +56,8 @@ val attribution : ?program:Scdb_vm.Vm.t -> Scdb_plan.Plan.t -> attribution_row a
     in node-id order.  Call after the run, before the next
     [Progress.start].  When the run executed a compiled [program], its
     symbolization table supplies each node's rewrite tags
-    ([rejection_box_substituted], [shared_union_leaf],
-    [reordered_membership]) so attribution rows carry provenance. *)
+    ([rejection_box_substituted], [shared_union_leaf]) so attribution
+    rows carry provenance. *)
 
 val attribution_json : attribution_row array -> string
 (** JSON array (two-space indented block); every non-finite number is

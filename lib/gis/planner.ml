@@ -1,3 +1,5 @@
+module Cost = Scdb_plan.Cost
+
 type strategy =
   | Use_exact
   | Use_grid of float
@@ -47,10 +49,11 @@ let cost_grid ~free_dim ~extent_cells =
 
 let cost_sampling ~free_dim ~pieces ~eps ~delta =
   (* per piece: rounding + phases(q = O(d log d)) x Chernoff samples x walk steps *)
-  let d = float_of_int free_dim in
-  let phases = Float.max 1.0 (d *. 2.0) in
-  let samples = 3.0 *. log (2.0 /. delta) /. (eps *. eps) *. phases *. phases *. 2.0 in
-  let steps = Float.max 60.0 (12.0 *. d *. log (d +. 2.0) ** 2.0) in
+  let phases = Float.max 1.0 (float_of_int free_dim *. 2.0) in
+  let samples =
+    float_of_int (Cost.samples_for_ratio ~eps ~delta ~p_lower:0.5) *. phases *. phases
+  in
+  let steps = float_of_int (Cost.hit_and_run_steps ~dim:free_dim) in
   float_of_int (Stdlib.max 1 pieces) *. phases *. samples *. steps
 
 let plan ?(eps = 0.25) ?(delta = 0.25) inst ~free_dim q =

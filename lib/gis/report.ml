@@ -1,6 +1,5 @@
 module Tel = Scdb_telemetry.Telemetry
 module Trace = Scdb_trace.Trace
-module FM = Scdb_qe.Fourier_motzkin
 module Polytope = Scdb_polytope.Polytope
 
 type t = { json : string; chrome_trace : string; text_tree : string }
@@ -86,7 +85,7 @@ let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
     ?(samples_per_chain = Diag_run.default_samples_per_chain) ?(progress = false)
     ?overrun_factor ?(engine = "interp") ~vars ~formula ~seed () =
   if vars = [] then Error "no variables given"
-  else if not (List.mem engine [ "interp"; "vm"; "vm-opt" ]) then
+  else if not (List.mem engine Flight.engines) then
     Error ("unknown engine " ^ engine)
   else begin
     let tel_was = Tel.enabled () and trace_was = Trace.enabled () in
@@ -100,22 +99,9 @@ let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
       Trace.span "report"
         ~attrs:[ ("seed", string_of_int seed); ("dim", string_of_int dim) ]
       @@ fun () ->
-      let parsed =
-        Trace.span "formula.parse" (fun () ->
-            match Parser.parse ~vars formula with
-            | f -> Ok f
-            | exception Parser.Parse_error m -> Error ("parse error: " ^ m)
-            | exception Lexer.Lex_error (m, pos) ->
-                Error (Printf.sprintf "lex error at %d: %s" pos m))
-      in
-      match parsed with
+      match Flight.parse_relation ~vars formula with
       | Error e -> Error e
-      | Ok f -> (
-          let f =
-            if Formula.is_quantifier_free f then f
-            else Trace.span "qe.eliminate" (fun () -> FM.eliminate f)
-          in
-          let relation = Relation.of_formula ~dim f in
+      | Ok relation -> (
           let task = Scdb_plan.Plan.Report samples in
           let built =
             (* The progress bus collects per-node actuals for the

@@ -130,7 +130,7 @@ end
 (* Status view                                                         *)
 (*                                                                     *)
 (* Everything below reads contexts through explicit-instance accessors *)
-(* only ([?reg], [Bus.draws], [Sink.warn_count], …), never through the *)
+(* only ([?reg], [Bus.total_work], [Sink.warn_count], …), not via the  *)
 (* ambient [with_*] installs — a ticker thread shares its spawning     *)
 (* domain's ambient state, so installing from it would corrupt the     *)
 (* owner's view.                                                       *)
@@ -181,9 +181,7 @@ module Status = struct
     (* The progress bus tracks work units, not emitted samples, so the
        draw count (and the rate derived from it) comes from the
        produced-samples counters. *)
-    let draws =
-      Float.max (Progress.Bus.draws (Ctx.bus c)) (float_of_int accepted)
-    in
+    let draws = float_of_int accepted in
     let dt = now -. c.Ctx.last_t in
     let rate =
       if dt > 1e-9 && draws >= c.Ctx.last_draws then

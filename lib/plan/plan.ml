@@ -27,6 +27,8 @@ type op =
   | Boost_op of { runs : int }
   | Guard
 
+type rewrite = Kept | Rejection_box | Shared of int
+
 type node = {
   id : int;
   op : op;
@@ -34,7 +36,13 @@ type node = {
   per_sample : units;
   per_volume : units;
   children : node list;
+  rewrite : rewrite;
 }
+
+let rewrite_tag = function
+  | Kept -> None
+  | Rejection_box -> Some "rejection_box_substituted"
+  | Shared _ -> Some "shared_union_leaf"
 
 let op_name = function
   | Dfk _ -> "dfk"
@@ -107,6 +115,9 @@ let exclusive op ~dim ~m =
 (* Constructors                                                        *)
 (* ------------------------------------------------------------------ *)
 
+let node op ~dim per_sample per_volume children =
+  { id = -1; op; dim; per_sample; per_volume; children; rewrite = Kept }
+
 let sum_children f children = List.fold_left (fun acc c -> add_units acc (f c)) zero children
 
 let dfk ~eps ~delta ~dim ?(method_ = "walk") ?(constraints = 0) ?volume_budget () =
@@ -123,12 +134,12 @@ let dfk ~eps ~delta ~dim ?(method_ = "walk") ?(constraints = 0) ?volume_budget (
   in
   let op = Dfk { method_; walk_steps; phases; samples_per_phase; constraints } in
   let per_sample, per_volume = exclusive op ~dim ~m:0 in
-  { id = -1; op; dim; per_sample; per_volume; children = [] }
+  node op ~dim per_sample per_volume []
 
 let grid_leaf ~dim ~cells =
   let op = Grid_leaf { cells } in
   let per_sample, per_volume = exclusive op ~dim ~m:0 in
-  { id = -1; op; dim; per_sample; per_volume; children = [] }
+  node op ~dim per_sample per_volume []
 
 let union_ ~eps ~delta children =
   if children = [] then invalid_arg "Plan.union_: empty list";
@@ -147,7 +158,7 @@ let union_ ~eps ~delta children =
   let fm = float_of_int m in
   let per_sample = add_units excl_s (scale_units (t /. fm) sum_ps) in
   let per_volume = add_units excl_v (add_units (scale_units (n /. fm) sum_ps) sum_pv) in
-  { id = -1; op; dim; per_sample; per_volume; children }
+  node op ~dim per_sample per_volume children
 
 let cap_adaptive n = Stdlib.min n 200_000
 
@@ -169,7 +180,7 @@ let inter_ ?(poly_degree = 3) ~eps ~delta children =
   let fm = float_of_int m in
   let per_sample = add_units excl_s (scale_units (b /. fm) sum_ps) in
   let per_volume = add_units excl_v (add_units (scale_units (n /. fm) sum_ps) sum_pv) in
-  { id = -1; op; dim; per_sample; per_volume; children }
+  node op ~dim per_sample per_volume children
 
 let diff_ ?(poly_degree = 3) ~eps ~delta a b =
   let dim = a.dim in
@@ -186,7 +197,7 @@ let diff_ ?(poly_degree = 3) ~eps ~delta a b =
   let per_volume =
     add_units excl_v (add_units (scale_units n a.per_sample) a.per_volume)
   in
-  { id = -1; op; dim; per_sample; per_volume; children = [ a; b ] }
+  node op ~dim per_sample per_volume [ a; b ]
 
 let project_ ~eps ~delta ~keep child =
   (* The runtime's retry budget is calibrated by a 32-draw pilot; the
@@ -208,20 +219,15 @@ let project_ ~eps ~delta ~keep child =
   let per_volume =
     add_units excl_v (add_units (scale_units n child.per_sample) child.per_volume)
   in
-  { id = -1; op; dim = keep; per_sample; per_volume; children = [ child ] }
+  node op ~dim:keep per_sample per_volume [ child ]
 
 let boost_ ~delta child =
   let runs = Cost.boost_runs ~delta in
-  {
-    id = -1;
-    op = Boost_op { runs };
-    dim = child.dim;
-    per_sample = child.per_sample;
-    per_volume = scale_units (float_of_int runs) child.per_volume;
-    children = [ child ];
-  }
+  node (Boost_op { runs }) ~dim:child.dim child.per_sample
+    (scale_units (float_of_int runs) child.per_volume)
+    [ child ]
 
-let guard ~dim = { id = -1; op = Guard; dim; per_sample = zero; per_volume = zero; children = [] }
+let guard ~dim = node Guard ~dim zero zero []
 
 (* ------------------------------------------------------------------ *)
 (* Finalized plans: preorder ids and per-run budgets                   *)
@@ -531,6 +537,7 @@ let of_json doc =
         per_sample = units_of (get "per_sample" o);
         per_volume = units_of (get "per_volume" o);
         children;
+        rewrite = Kept;
       }
     in
     let root = read_node (get "root" doc) in

@@ -47,6 +47,19 @@ type op =
   | Boost_op of { runs : int }  (** median confidence boosting *)
   | Guard  (** membership-only subtrahend: never sampled, never measured *)
 
+(** How a node is executed, as decided by the rewrite pass
+    ({!Scdb_core.Plan_obs.rewrite}).  Rewrites keep the sampling
+    distribution but change the rng stream; costs stay those of the
+    node as built. *)
+type rewrite =
+  | Kept  (** executed as costed *)
+  | Rejection_box
+      (** a hit-and-run leaf sampled by exact bounding-box rejection,
+          because {!Cost.rejection_box_trials} undercuts its walk *)
+  | Shared of int
+      (** a union leaf equal to the earlier leaf with this id: it
+          reuses that leaf's piece and volume estimate *)
+
 type node = {
   id : int;  (** preorder index, assigned by {!finalize}; [-1] before *)
   op : op;
@@ -54,7 +67,12 @@ type node = {
   per_sample : units;  (** inclusive expected cost of one generator call *)
   per_volume : units;  (** inclusive expected cost of one volume estimation *)
   children : node list;
+  rewrite : rewrite;  (** [Kept] from every constructor and {!of_json} *)
 }
+
+val rewrite_tag : rewrite -> string option
+(** Provenance tag of a rewrite: ["rejection_box_substituted"] or
+    ["shared_union_leaf"]; [None] for [Kept]. *)
 
 val op_name : op -> string
 (** ["dfk"], ["grid"], ["union"], ["inter"], ["diff"], ["project"],

@@ -4,8 +4,6 @@ module Log = Scdb_log.Log
 type state = {
   labels : string array;
   budgets : float array;
-  draws : float array;
-  mems : float array;
   steps : float array;
   trials : float array;
   warned : bool array;
@@ -45,8 +43,6 @@ let start ?(overrun_factor = 4.0) ~rows () =
     {
       labels = Array.make n "?";
       budgets = Array.make n 0.0;
-      draws = Array.make n 0.0;
-      mems = Array.make n 0.0;
       steps = Array.make n 0.0;
       trials = Array.make n 0.0;
       warned = Array.make n false;
@@ -112,7 +108,7 @@ let check_overrun st id =
     end
   end
 
-let accrue cell watchdog n =
+let accrue cell n =
   if active () && n <> 0 then
     match armed_state (cur ()) with
     | None -> ()
@@ -120,16 +116,14 @@ let accrue cell watchdog n =
         let v = float_of_int n in
         let touch id =
           (cell st).(id) <- (cell st).(id) +. v;
-          if watchdog then check_overrun st id
+          check_overrun st id
         in
         (match st.stack with
         | [] -> if Array.length st.budgets > 0 then touch 0
         | ids -> List.iter touch ids)
 
-let add_steps n = accrue (fun st -> st.steps) true n
-let add_trials n = accrue (fun st -> st.trials) true n
-let add_draws n = accrue (fun st -> st.draws) false n
-let add_mems n = accrue (fun st -> st.mems) false n
+let add_steps n = accrue (fun st -> st.steps) n
+let add_trials n = accrue (fun st -> st.trials) n
 
 let add_trials_on path n =
   enter_path path;
@@ -149,8 +143,6 @@ type row = {
   id : int;
   label : string;
   budget : float;
-  draws : float;
-  mems : float;
   steps : float;
   trials : float;
   overrun : bool;
@@ -164,8 +156,6 @@ let rows_of_state st =
         id;
         label = st.labels.(id);
         budget = st.budgets.(id);
-        draws = st.draws.(id);
-        mems = st.mems.(id);
         steps = st.steps.(id);
         trials = st.trials.(id);
         overrun = st.warned.(id);
@@ -245,11 +235,6 @@ module Bus = struct
   let total_budget b = total_budget_of b
   let elapsed b = elapsed_of b
 
-  let draws b =
-    match b.b_state with
-    | Some st when Array.length st.draws > 0 -> st.draws.(0)
-    | _ -> 0.0
-
   let trials b =
     match b.b_state with
     | Some st when Array.length st.trials > 0 -> st.trials.(0)
@@ -274,8 +259,6 @@ module Bus = struct
               {
                 labels = Array.copy s.labels;
                 budgets = Array.copy s.budgets;
-                draws = Array.copy s.draws;
-                mems = Array.copy s.mems;
                 steps = Array.copy s.steps;
                 trials = Array.copy s.trials;
                 warned = Array.copy s.warned;
@@ -299,8 +282,6 @@ module Bus = struct
                     else if i < Array.length s.labels then s.labels.(i)
                     else "?");
               budgets = ext d.budgets s.budgets ( +. ) 0.0;
-              draws = ext d.draws s.draws ( +. ) 0.0;
-              mems = ext d.mems s.mems ( +. ) 0.0;
               steps = ext d.steps s.steps ( +. ) 0.0;
               trials = ext d.trials s.trials ( +. ) 0.0;
               warned = ext d.warned s.warned ( || ) false;

@@ -64,12 +64,6 @@ val add_steps : int -> unit
 val add_trials : int -> unit
 (** Accrue rejection/acceptance trials likewise. *)
 
-val add_draws : int -> unit
-(** Informational: rng draws (not part of the work metric). *)
-
-val add_mems : int -> unit
-(** Informational: membership tests (not part of the work metric). *)
-
 val add_steps_on : int array -> int -> unit
 (** [enter_path p; add_steps n; exit_path p] — accrue to the path's
     nodes {e and} whatever is already stacked beneath it. *)
@@ -83,8 +77,6 @@ type row = {
   id : int;
   label : string;
   budget : float;  (** predicted inclusive work *)
-  draws : float;
-  mems : float;
   steps : float;
   trials : float;
   overrun : bool;  (** watchdog fired for this node *)
@@ -140,9 +132,6 @@ module Bus : sig
   val total_work : t -> float
   val total_budget : t -> float
   val elapsed : t -> float
-
-  val draws : t -> float
-  (** Root-node rng draws — the status view's throughput column. *)
 
   val trials : t -> float
   val steps : t -> float

@@ -26,7 +26,6 @@ let tel_programs = Tel.Counter.make "vm.programs"
      ENSURE w                  2 words  run weight prologue w once
      ALLZERO w L               3 words  jump L when all weights[w] <= 0
      CATEGORICAL w j           3 words  j := categorical draw over weights[w]
-     ARGMIN w j                3 words  j := index of smallest weight
      DISPATCH j m L0..Lm-1     3+m      jump-threaded child dispatch
      WALK p                    2 words  run piece p's sampler, set point reg
      MEMBER m Lt Lf            4 words  packed-row membership on point reg
@@ -42,15 +41,14 @@ let op_decjnz = 3
 let op_ensure = 4
 let op_allzero = 5
 let op_categorical = 6
-let op_argmin = 7
-let op_dispatch = 8
-let op_walk = 9
-let op_member = 10
-let op_mempoly = 11
-let op_jmp = 12
-let op_tick = 13
-let op_exhaust = 14
-let num_opcodes = 15
+let op_dispatch = 7
+let op_walk = 8
+let op_member = 9
+let op_mempoly = 10
+let op_jmp = 11
+let op_tick = 12
+let op_exhaust = 13
+let num_opcodes = 14
 
 let opcode_name = function
   | 0 -> "emit"
@@ -60,14 +58,13 @@ let opcode_name = function
   | 4 -> "ensure"
   | 5 -> "allzero"
   | 6 -> "categorical"
-  | 7 -> "argmin"
-  | 8 -> "dispatch"
-  | 9 -> "walk"
-  | 10 -> "member"
-  | 11 -> "mempoly"
-  | 12 -> "jmp"
-  | 13 -> "tick"
-  | 14 -> "exhaust"
+  | 7 -> "dispatch"
+  | 8 -> "walk"
+  | 9 -> "member"
+  | 10 -> "mempoly"
+  | 11 -> "jmp"
+  | 12 -> "tick"
+  | 13 -> "exhaust"
   | op -> Printf.sprintf "op%d" op
 
 (* One execution counter per opcode ([vm.op.<name>]); the Prometheus
@@ -75,18 +72,23 @@ let opcode_name = function
    disabled-telemetry path is one load and a branch. *)
 let op_counters = Array.init num_opcodes (fun i -> Tel.Counter.make ("vm.op." ^ opcode_name i))
 
-(* Rewrite tags: which vm-opt rewrite produced an instruction.  Stored
-   per code word next to the originating plan-node id, so optimized
-   programs stay attributable after their plan-shape rewrites. *)
+(* Rewrite tags: the plan rewrite ([Plan.rewrite]) that shaped an
+   instruction.  Stored per code word next to the originating plan-node
+   id, so optimized programs stay attributable. *)
 let tag_none = 0
 let tag_rejection_box = 1
 let tag_shared_leaf = 2
-let tag_reordered_mem = 3
 
+let tag_of = function
+  | Plan.Kept -> tag_none
+  | Plan.Rejection_box -> tag_rejection_box
+  | Plan.Shared _ -> tag_shared_leaf
+
+(* The tag names are the plan's; the shared leaf's id is not part of
+   its tag. *)
 let tag_name = function
-  | 1 -> Some "rejection_box_substituted"
-  | 2 -> Some "shared_union_leaf"
-  | 3 -> Some "reordered_membership"
+  | 1 -> Plan.rewrite_tag Plan.Rejection_box
+  | 2 -> Plan.rewrite_tag (Plan.Shared 0)
   | _ -> None
 
 exception Compile_error of string
@@ -403,14 +405,8 @@ let exec ?prof t rng =
        | 6 (* CATEGORICAL *) ->
            t.jregs.(code.(base + 2)) <- Rng.categorical rng t.weights.(code.(base + 1));
            pc := base + 3
-       | 7 (* ARGMIN *) ->
-           let w = t.weights.(code.(base + 1)) in
-           let j = ref 0 in
-           Array.iteri (fun i v -> if v < w.(!j) then j := i) w;
-           t.jregs.(code.(base + 2)) <- !j;
-           pc := base + 3
-       | 8 (* DISPATCH *) -> pc := code.(base + 3 + t.jregs.(code.(base + 1)))
-       | 9 (* WALK *) ->
+       | 7 (* DISPATCH *) -> pc := code.(base + 3 + t.jregs.(code.(base + 1)))
+       | 8 (* WALK *) ->
            (* Attribute the walk (and everything the sampler accrues
               underneath) to the leaf's plan node, not just the root:
               the ETA ticker and post-run attribution see per-leaf
@@ -425,7 +421,7 @@ let exec ?prof t rng =
            | _ -> x := walk_piece t.pieces.(code.(base + 1)) rng);
            Progress.exit_path path;
            pc := base + 2
-       | 10 (* MEMBER *) ->
+       | 9 (* MEMBER *) ->
            (match prof with
            | Some p when p.ptiming ->
                let t0 = Tel.Clock.now () in
@@ -434,7 +430,7 @@ let exec ?prof t rng =
                pc := (if r then code.(base + 2) else code.(base + 3))
            | _ ->
                pc := (if mem_rows t code.(base + 1) !x then code.(base + 2) else code.(base + 3)))
-       | 11 (* MEMPOLY *) ->
+       | 10 (* MEMPOLY *) ->
            let pe = t.pieces.(code.(base + 1)) in
            (match prof with
            | Some p when p.ptiming ->
@@ -447,12 +443,12 @@ let exec ?prof t rng =
                  (if Polytope.mem ~slack:1e-9 pe.prep.Convex_obs.p_original !x then
                     code.(base + 2)
                   else code.(base + 3)))
-       | 12 (* JMP *) -> pc := code.(base + 1)
-       | 13 (* TICK *) ->
+       | 11 (* JMP *) -> pc := code.(base + 1)
+       | 12 (* TICK *) ->
            Tel.Counter.incr tel_trials;
            Progress.add_trials_on (Array.unsafe_get t.paths (Array.unsafe_get t.dbg_node base)) 1;
            pc := base + 1
-       | 14 (* EXHAUST *) ->
+       | 13 (* EXHAUST *) ->
            t.exhausts.(code.(base + 1)) ();
            pc := base + 2
        | op -> failwith (Printf.sprintf "vm: bad opcode %d at %d" op base)
@@ -515,28 +511,29 @@ let pack_relation mtab fpool r =
     tuples;
   off
 
-let is_leaf (n : Plan.node) =
-  match n.Plan.op with Plan.Dfk _ | Plan.Guard -> true | _ -> false
-
 let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
   (match plan.Plan.task with
   | Plan.Sample _ | Plan.Report _ -> ()
   | _ -> cerr "vm compiles sampling plans only");
   let delta = plan.Plan.delta and gamma = plan.Plan.gamma in
-  (* Preorder leaves; binds piece [i] to the i-th dfk/guard leaf. *)
-  let acc = ref [] in
-  let rec collect (n : Plan.node) =
-    match n.Plan.op with
-    | Plan.Dfk _ | Plan.Guard -> acc := n :: !acc
-    | Plan.Union_op _ | Plan.Inter_op _ | Plan.Diff_op _ -> List.iter collect n.Plan.children
-    | op -> cerr "unsupported plan operator %S" (Plan.op_name op)
+  (* Preorder leaves; binds piece [i] to the i-th dfk leaf. *)
+  let leaves_of (p : Plan.t) =
+    let acc = ref [] in
+    let rec collect (n : Plan.node) =
+      match n.Plan.op with
+      | Plan.Dfk _ -> acc := n :: !acc
+      | Plan.Union_op _ -> List.iter collect n.Plan.children
+      | op -> cerr "unsupported plan operator %S" (Plan.op_name op)
+    in
+    collect p.Plan.root;
+    Array.of_list (List.rev !acc)
   in
-  collect plan.Plan.root;
-  let leaves = Array.of_list (List.rev !acc) in
-  let nleaf = Array.length leaves in
+  let nleaf = Array.length (leaves_of plan) in
   if nleaf <> Array.length prepared then
     cerr "piece count mismatch: plan has %d leaves, %d pieces prepared" nleaf
       (Array.length prepared);
+  let plan = if opt then Plan_obs.rewrite plan prepared else plan in
+  let leaves = leaves_of plan in
   let ord_of_id = Hashtbl.create 16 in
   Array.iteri (fun i (n : Plan.node) -> Hashtbl.replace ord_of_id n.Plan.id i) leaves;
   (* Accuracy threading: the combinators sample children at ε/3
@@ -547,33 +544,6 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
     List.iter (fun c -> thread c (eps /. 3.0)) n.Plan.children
   in
   thread plan.Plan.root plan.Plan.eps;
-  (* Duplicate-leaf sharing (optimized engine): leaves over the same
-     original body with the same sampler configuration compile to one
-     piece.  Rounding draws differ between duplicates, but any rounding
-     of the same body yields the same sampling distribution. *)
-  let leaf_eq i j =
-    let a = prepared.(i) and b = prepared.(j) in
-    a.Convex_obs.p_dim = b.Convex_obs.p_dim
-    && a.Convex_obs.p_original.Polytope.flat = b.Convex_obs.p_original.Polytope.flat
-    && a.Convex_obs.p_original.Polytope.b = b.Convex_obs.p_original.Polytope.b
-    && a.Convex_obs.p_config = b.Convex_obs.p_config
-  in
-  let rep =
-    Array.init nleaf (fun i ->
-        if not opt then i
-        else begin
-          let r = ref i in
-          (try
-             for j = 0 to i - 1 do
-               if leaf_eq j i then begin
-                 r := j;
-                 raise Exit
-               end
-             done
-           with Exit -> ());
-          !r
-        end)
-  in
   (* Validate leaves against the cost model and build distinct pieces. *)
   let leaf_info i (n : Plan.node) =
     let p = prepared.(i) in
@@ -587,7 +557,6 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
       | None -> Hit_and_run.default_steps ~dim:d
     in
     match n.Plan.op with
-    | Plan.Guard -> (K_hr, hr_steps, hr_steps, false)
     | Plan.Dfk { method_; walk_steps; _ } ->
         let mname = sampler_name cfg in
         if mname <> method_ then
@@ -606,145 +575,48 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
           cerr "leaf %d (node %d): plan walk_steps %d <> cost model %d at eps %g" i n.Plan.id
             walk_steps steps eps;
         let kind =
-          match cfg.Convex_obs.sampler with
-          | Convex_obs.Grid_walk ->
-              K_grid (Grid.step_for ~gamma ~dim:d ~scale:p.Convex_obs.p_r_sup)
-          | Convex_obs.Hit_and_run -> K_hr
-          | Convex_obs.Rejection_box -> (
+          match (n.Plan.rewrite, cfg.Convex_obs.sampler) with
+          | Plan.Rejection_box, _ | _, Convex_obs.Rejection_box -> (
               (* The interpreter solves this LP on every draw; it is
                  rng-free, so hoisting it to compile time is
                  stream-preserving. *)
               match Polytope.bounding_box p.Convex_obs.p_body with
               | None -> K_hr
               | Some (lo, hi) -> K_rej { rlo = lo; rhi = hi })
+          | _, Convex_obs.Grid_walk ->
+              K_grid (Grid.step_for ~gamma ~dim:d ~scale:p.Convex_obs.p_r_sup)
+          | _, Convex_obs.Hit_and_run -> K_hr
         in
-        let kind, swapped =
-          (* Cost-based sampler selection: when the expected rejection
-             budget undercuts the hit-and-run schedule, swap the leaf
-             to exact-uniform box rejection (stream-changing: optimized
-             engine only). *)
-          if opt && kind = K_hr && Cost.rejection_box_trials ~dim:d <= steps then
-            match Polytope.bounding_box p.Convex_obs.p_body with
-            | Some (lo, hi) -> (K_rej { rlo = lo; rhi = hi }, true)
-            | None -> (K_hr, false)
-          else (kind, false)
-        in
-        (kind, steps, hr_steps, swapped)
+        (kind, steps, hr_steps)
     | _ -> assert false
   in
+  (* One piece and one packed membership test per unshared leaf; a
+     shared leaf points at its twin's. *)
   let rt_acc = ref [] and nrt = ref 0 in
   let rt_idx = Array.make nleaf (-1) in
-  let swapped = Array.make nleaf false in
-  Array.iteri
-    (fun i n ->
-      let kind, steps, hr_steps, sw = leaf_info i n in
-      swapped.(i) <- sw;
-      if rep.(i) = i then begin
-        rt_acc := make_piece prepared.(i) kind ~steps ~hr_steps :: !rt_acc;
-        rt_idx.(i) <- !nrt;
-        incr nrt
-      end)
-    leaves;
-  (* Rewrite tag of a leaf's own instructions. *)
-  let leaf_tag i =
-    if rep.(i) <> i then tag_shared_leaf
-    else if swapped.(i) then tag_rejection_box
-    else tag_none
-  in
-  Array.iteri (fun i _ -> if rep.(i) <> i then rt_idx.(i) <- rt_idx.(rep.(i))) leaves;
-  let pieces = Array.of_list (List.rev !rt_acc) in
-  if Array.length pieces = 0 then cerr "plan has no convex pieces";
-  (* Membership row packing, shared between duplicates. *)
   let mtab = Ib.create () and fpool = Fb.create () in
   let moff = Array.make nleaf (-1) in
   Array.iteri
-    (fun i _ ->
-      if rep.(i) = i then
-        match prepared.(i).Convex_obs.p_relation with
-        | Some r -> moff.(i) <- pack_relation mtab fpool r
-        | None -> ())
+    (fun i (n : Plan.node) ->
+      let kind, steps, hr_steps = leaf_info i n in
+      match n.Plan.rewrite with
+      | Plan.Shared k ->
+          let r = Hashtbl.find ord_of_id k in
+          rt_idx.(i) <- rt_idx.(r);
+          moff.(i) <- moff.(r)
+      | Plan.Kept | Plan.Rejection_box -> (
+          rt_acc := make_piece prepared.(i) kind ~steps ~hr_steps :: !rt_acc;
+          rt_idx.(i) <- !nrt;
+          incr nrt;
+          match prepared.(i).Convex_obs.p_relation with
+          | Some r -> moff.(i) <- pack_relation mtab fpool r
+          | None -> ()))
     leaves;
-  Array.iteri (fun i _ -> if rep.(i) <> i then moff.(i) <- moff.(rep.(i))) leaves;
-  (* Mirror observable tree: the weight prologues estimate volumes
-     through the same interpreted estimators (and internal caches) the
-     interpreter engine uses, so the draw sequences coincide.  Each
-     node is wrapped with a Progress tag (the same record update
-     [Plan_exec.tag] applies on the interpreter side — rng-free, so
-     stream-preserving): prologue volume work lands on the child that
-     spends it, and [report --engine vm*] can run its volume estimate
-     through the stored root mirror with full attribution. *)
-  let tag_obs id (obs : Observable.t) =
-    {
-      obs with
-      Observable.sample =
-        (fun rng params -> Progress.with_node id (fun () -> obs.Observable.sample rng params));
-      volume =
-        (fun rng ~gamma ~eps ~delta ->
-          Progress.with_node id (fun () -> obs.Observable.volume rng ~gamma ~eps ~delta));
-    }
-  in
-  let kids_of_id = Hashtbl.create 8 in
-  let ord = ref 0 in
-  let rec mirror (n : Plan.node) : Observable.t =
-    let obs =
-      match n.Plan.op with
-      | Plan.Dfk _ | Plan.Guard ->
-          let i = !ord in
-          incr ord;
-          Convex_obs.observe prepared.(i)
-      | Plan.Union_op _ ->
-          let kids = Array.of_list (List.map mirror n.Plan.children) in
-          Hashtbl.replace kids_of_id n.Plan.id kids;
-          Union.union (Array.to_list kids)
-      | Plan.Inter_op { poly_degree; _ } ->
-          let kids = Array.of_list (List.map mirror n.Plan.children) in
-          Hashtbl.replace kids_of_id n.Plan.id kids;
-          Inter.inter ~poly_degree (Array.to_list kids)
-      | Plan.Diff_op { poly_degree; _ } -> (
-          match List.map mirror n.Plan.children with
-          | [ a; b ] -> Diff.diff ~poly_degree a b
-          | _ -> cerr "diff node %d must have exactly two children" n.Plan.id)
-      | _ -> assert false
-    in
-    tag_obs n.Plan.id obs
-  in
-  let mirror_obs = mirror plan.Plan.root in
-  (* Intersection membership order: smallest bounding box first, so the
-     conjunction fails fast (rng-free, hence stream-preserving — but
-     kept to the optimized engine so strict stays a pure mirror). *)
-  let order_of_id = Hashtbl.create 8 in
-  let mem_order (n : Plan.node) =
-    match Hashtbl.find_opt order_of_id n.Plan.id with
-    | Some o -> o
-    | None ->
-        let kids = Array.of_list n.Plan.children in
-        let m = Array.length kids in
-        let order =
-          if not opt then Array.init m Fun.id
-          else begin
-            let key (c : Plan.node) =
-              if not (is_leaf c) then Float.infinity
-              else
-                let i = Hashtbl.find ord_of_id c.Plan.id in
-                match Polytope.bounding_box prepared.(i).Convex_obs.p_original with
-                | None -> Float.infinity
-                | Some (lo, hi) ->
-                    let v = ref 1.0 in
-                    for k = 0 to Vec.dim lo - 1 do
-                      v := !v *. Float.max 0.0 (hi.(k) -. lo.(k))
-                    done;
-                    !v
-            in
-            let keys = Array.map key kids in
-            Array.of_list
-              (List.sort
-                 (fun a b -> compare (keys.(a), a) (keys.(b), b))
-                 (List.init m Fun.id))
-          end
-        in
-        Hashtbl.replace order_of_id n.Plan.id order;
-        order
-  in
+  let pieces = Array.of_list (List.rev !rt_acc) in
+  (* The interpreted tree of the same plan: the weight prologues
+     estimate through it (same estimators, same draws as the
+     interpreter engine), and it is the program's {!mirror}. *)
+  let obs = Plan_obs.observables plan prepared in
   (* Slot allocation. *)
   let asm = Asm.create () in
   let weights = ref [] and prologues = ref [] and wdesc = ref [] and nw = ref 0 in
@@ -783,23 +655,18 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
     match n.Plan.op with
     | Plan.Dfk _ ->
         let i = Hashtbl.find ord_of_id n.Plan.id in
-        Asm.set_ctx asm n.Plan.id (leaf_tag i);
+        Asm.set_ctx asm n.Plan.id (tag_of n.Plan.rewrite);
         Asm.push asm op_walk;
         Asm.push asm rt_idx.(i);
         Asm.push asm op_jmp;
-        Asm.push_ref asm lsucc;
-        ignore lfail
-    | Plan.Guard -> cerr "guard node %d is membership-only and cannot be sampled" n.Plan.id
+        Asm.push_ref asm lsucc
     | Plan.Union_op { trials; _ } -> gen_union n trials ~lsucc ~lfail
-    | Plan.Inter_op { poly_degree; budget; _ } -> gen_inter n poly_degree budget ~lsucc ~lfail
-    | Plan.Diff_op { poly_degree; budget; _ } -> gen_diff n poly_degree budget ~lsucc ~lfail
     | _ -> assert false
-  and gen_mem ?(rtag = tag_none) (n : Plan.node) ~ltrue ~lfalse =
+  and gen_mem (n : Plan.node) ~ltrue ~lfalse =
     match n.Plan.op with
-    | Plan.Dfk _ | Plan.Guard ->
+    | Plan.Dfk _ ->
         let i = Hashtbl.find ord_of_id n.Plan.id in
-        let tag = if rtag <> tag_none then rtag else leaf_tag i in
-        Asm.set_ctx asm n.Plan.id tag;
+        Asm.set_ctx asm n.Plan.id (tag_of n.Plan.rewrite);
         if moff.(i) >= 0 then begin
           Asm.push asm op_member;
           Asm.push asm moff.(i)
@@ -818,35 +685,11 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
           (fun i c ->
             if i < m - 1 then begin
               let lnext = Asm.new_label asm in
-              gen_mem ~rtag c ~ltrue ~lfalse:lnext;
+              gen_mem c ~ltrue ~lfalse:lnext;
               Asm.bind asm lnext
             end
-            else gen_mem ~rtag c ~ltrue ~lfalse)
+            else gen_mem c ~ltrue ~lfalse)
           kids
-    | Plan.Inter_op _ ->
-        let kids = Array.of_list n.Plan.children in
-        let order = mem_order n in
-        let m = Array.length kids in
-        let reordered = ref false in
-        Array.iteri (fun k j -> if k <> j then reordered := true) order;
-        let rtag = if !reordered then tag_reordered_mem else rtag in
-        Array.iteri
-          (fun k j ->
-            if k < m - 1 then begin
-              let lnext = Asm.new_label asm in
-              gen_mem ~rtag kids.(j) ~ltrue:lnext ~lfalse;
-              Asm.bind asm lnext
-            end
-            else gen_mem ~rtag kids.(j) ~ltrue ~lfalse)
-          order
-    | Plan.Diff_op _ -> (
-        match n.Plan.children with
-        | [ a; b ] ->
-            let l2 = Asm.new_label asm in
-            gen_mem ~rtag a ~ltrue:l2 ~lfalse;
-            Asm.bind asm l2;
-            gen_mem ~rtag b ~ltrue:lfalse ~lfalse:ltrue
-        | _ -> cerr "diff node %d must have exactly two children" n.Plan.id)
     | _ -> assert false
   and gen_union (n : Plan.node) trials ~lsucc ~lfail =
     let kids = Array.of_list n.Plan.children in
@@ -856,35 +699,19 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
       cerr "union node %d: plan trials %d <> cost model %d" n.Plan.id trials expect;
     let eps = Hashtbl.find eps_of_id n.Plan.id in
     let eps3 = eps /. 3.0 and sub_delta = delta /. float_of_int (4 * m) in
-    let mirrors = Hashtbl.find kids_of_id n.Plan.id in
     let w = Array.make m 0.0 in
-    (* Weight sharing between duplicate sibling leaves (optimized). *)
-    let dup = Array.make m (-1) in
-    if opt then
-      Array.iteri
-        (fun i c ->
-          if is_leaf c then begin
-            let oi = Hashtbl.find ord_of_id c.Plan.id in
-            try
-              Array.iteri
-                (fun k c' ->
-                  if k >= i then raise Exit;
-                  if is_leaf c' && leaf_eq (Hashtbl.find ord_of_id c'.Plan.id) oi then begin
-                    dup.(i) <- k;
-                    raise Exit
-                  end)
-                kids
-            with Exit -> ()
-          end)
-        kids;
     let thunk rng =
       Array.iteri
-        (fun i kid ->
-          if dup.(i) >= 0 then w.(i) <- w.(dup.(i))
-          else w.(i) <- Observable.volume kid rng ~gamma ~eps:eps3 ~delta:sub_delta)
-        mirrors
+        (fun i (c : Plan.node) ->
+          w.(i) <- Observable.volume obs.(c.Plan.id) rng ~gamma ~eps:eps3 ~delta:sub_delta)
+        kids
     in
-    let shared = Array.fold_left (fun c d -> if d >= 0 then c + 1 else c) 0 dup in
+    let shared =
+      Array.fold_left
+        (fun k (c : Plan.node) ->
+          match c.Plan.rewrite with Plan.Shared _ -> k + 1 | _ -> k)
+        0 kids
+    in
     let ws =
       new_wslot w thunk
         (Printf.sprintf "node %d union: m=%d eps=%g delta=%g%s" n.Plan.id m eps3 sub_delta
@@ -944,119 +771,6 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
     Asm.push asm e;
     Asm.push asm op_jmp;
     Asm.push_ref asm lfail
-  and gen_inter (n : Plan.node) poly_degree budget ~lsucc ~lfail =
-    let kids = Array.of_list n.Plan.children in
-    let m = Array.length kids in
-    let ndim = n.Plan.dim in
-    let expect = Cost.rejection_budget ~dim:ndim ~poly_degree ~delta in
-    if budget <> expect then
-      cerr "inter node %d: plan budget %d <> cost model %d" n.Plan.id budget expect;
-    let eps = Hashtbl.find eps_of_id n.Plan.id in
-    let eps3 = eps /. 3.0 and sub_delta = delta /. float_of_int (4 * m) in
-    let mirrors = Hashtbl.find kids_of_id n.Plan.id in
-    let w = Array.make m 0.0 in
-    let thunk rng =
-      Array.iteri
-        (fun i kid -> w.(i) <- Observable.volume kid rng ~gamma ~eps:eps3 ~delta:sub_delta)
-        mirrors
-    in
-    let ws =
-      new_wslot w thunk
-        (Printf.sprintf "node %d inter: m=%d eps=%g delta=%g" n.Plan.id m eps3 sub_delta)
-    in
-    let ts = new_tslot (Printf.sprintf "node %d inter: budget %d" n.Plan.id budget) in
-    let jr = new_jreg () in
-    Asm.set_ctx asm n.Plan.id tag_none;
-    Asm.push asm op_ensure;
-    Asm.push asm ws;
-    Asm.push asm op_argmin;
-    Asm.push asm ws;
-    Asm.push asm jr;
-    Asm.push asm op_trials;
-    Asm.push asm ts;
-    Asm.push asm budget;
-    let ltrial = Asm.new_label asm in
-    Asm.bind asm ltrial;
-    Asm.push asm op_tick;
-    let ldec = Asm.new_label asm in
-    let lchk = Asm.new_label asm in
-    let targets = Array.init m (fun _ -> Asm.new_label asm) in
-    Asm.push asm op_dispatch;
-    Asm.push asm jr;
-    Asm.push asm m;
-    Array.iter (fun l -> Asm.push_ref asm l) targets;
-    Array.iteri
-      (fun j cj ->
-        Asm.bind asm targets.(j);
-        gen_sample cj ~lsucc:lchk ~lfail:ldec)
-      kids;
-    (* shared accept check: x must lie in every operand *)
-    Asm.bind asm lchk;
-    let order = mem_order n in
-    let reordered = ref false in
-    Array.iteri (fun k j -> if k <> j then reordered := true) order;
-    let rtag = if !reordered then tag_reordered_mem else tag_none in
-    Array.iteri
-      (fun k j ->
-        if k < m - 1 then begin
-          let lnext = Asm.new_label asm in
-          gen_mem ~rtag kids.(j) ~ltrue:lnext ~lfalse:ldec;
-          Asm.bind asm lnext
-        end
-        else gen_mem ~rtag kids.(j) ~ltrue:lsucc ~lfalse:ldec)
-      order;
-    Asm.set_ctx asm n.Plan.id tag_none;
-    Asm.bind asm ldec;
-    Asm.push asm op_decjnz;
-    Asm.push asm ts;
-    Asm.push_ref asm ltrial;
-    let e =
-      new_exhaust (fun () ->
-          Tel.Counter.incr tel_exhausted;
-          if Log.would_log Log.Warn then
-            Log.warn "inter.exhausted"
-              [ Log.int "budget" budget; Log.int "operands" m; Log.int "dim" ndim ])
-    in
-    Asm.push asm op_exhaust;
-    Asm.push asm e;
-    Asm.push asm op_jmp;
-    Asm.push_ref asm lfail
-  and gen_diff (n : Plan.node) poly_degree budget ~lsucc ~lfail =
-    match n.Plan.children with
-    | [ a; b ] ->
-        let ndim = n.Plan.dim in
-        let expect = Cost.rejection_budget ~dim:ndim ~poly_degree ~delta in
-        if budget <> expect then
-          cerr "diff node %d: plan budget %d <> cost model %d" n.Plan.id budget expect;
-        let ts = new_tslot (Printf.sprintf "node %d diff: budget %d" n.Plan.id budget) in
-        Asm.set_ctx asm n.Plan.id tag_none;
-        Asm.push asm op_trials;
-        Asm.push asm ts;
-        Asm.push asm budget;
-        let ltrial = Asm.new_label asm in
-        Asm.bind asm ltrial;
-        Asm.push asm op_tick;
-        let ldec = Asm.new_label asm in
-        let lchk = Asm.new_label asm in
-        gen_sample a ~lsucc:lchk ~lfail:ldec;
-        Asm.bind asm lchk;
-        gen_mem b ~ltrue:ldec ~lfalse:lsucc;
-        Asm.set_ctx asm n.Plan.id tag_none;
-        Asm.bind asm ldec;
-        Asm.push asm op_decjnz;
-        Asm.push asm ts;
-        Asm.push_ref asm ltrial;
-        let e =
-          new_exhaust (fun () ->
-              Tel.Counter.incr tel_exhausted;
-              if Log.would_log Log.Warn then
-                Log.warn "diff.exhausted" [ Log.int "budget" budget; Log.int "dim" ndim ])
-        in
-        Asm.push asm op_exhaust;
-        Asm.push asm e;
-        Asm.push asm op_jmp;
-        Asm.push_ref asm lfail
-    | _ -> cerr "diff node %d must have exactly two children" n.Plan.id
   in
   (* Root retry envelope: [Observable.sample_exn]'s schedule. *)
   let root_attempts =
@@ -1143,7 +857,7 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
     pdim = plan.Plan.root.Plan.dim;
     opt;
     header;
-    mirror_obs;
+    mirror_obs = obs.(plan.Plan.root.Plan.id);
   }
 
 let compile ?(optimize = false) ~plan ~pieces () =
@@ -1157,11 +871,11 @@ let compile ?(optimize = false) ~plan ~pieces () =
 
 let width code base =
   match code.(base) with
-  | 0 | 1 | 13 -> 1
-  | 4 | 9 | 12 | 14 -> 2
-  | 2 | 3 | 5 | 6 | 7 -> 3
-  | 10 | 11 -> 4
-  | 8 -> 3 + code.(base + 2)
+  | 0 | 1 | 12 -> 1
+  | 4 | 8 | 11 | 13 -> 2
+  | 2 | 3 | 5 | 6 -> 3
+  | 9 | 10 -> 4
+  | 7 -> 3 + code.(base + 2)
   | op -> failwith (Printf.sprintf "vm: bad opcode %d at %d" op base)
 
 let instruction_count t =
@@ -1210,22 +924,21 @@ let disassemble t =
       | 4 -> Printf.sprintf "ensure      w%d" code.(base + 1)
       | 5 -> Printf.sprintf "allzero     w%d, @%d" code.(base + 1) code.(base + 2)
       | 6 -> Printf.sprintf "categorical w%d -> j%d" code.(base + 1) code.(base + 2)
-      | 7 -> Printf.sprintf "argmin      w%d -> j%d" code.(base + 1) code.(base + 2)
-      | 8 ->
+      | 7 ->
           let m = code.(base + 2) in
           Printf.sprintf "dispatch    j%d [%s]" code.(base + 1)
             (String.concat " "
                (List.init m (fun i -> Printf.sprintf "@%d" code.(base + 3 + i))))
-      | 9 -> Printf.sprintf "walk        p%d" code.(base + 1)
-      | 10 ->
+      | 8 -> Printf.sprintf "walk        p%d" code.(base + 1)
+      | 9 ->
           Printf.sprintf "member      m%d, @%d, @%d" code.(base + 1) code.(base + 2)
             code.(base + 3)
-      | 11 ->
+      | 10 ->
           Printf.sprintf "mempoly     p%d, @%d, @%d" code.(base + 1) code.(base + 2)
             code.(base + 3)
-      | 12 -> Printf.sprintf "jmp         @%d" code.(base + 1)
-      | 13 -> "tick"
-      | 14 -> Printf.sprintf "exhaust     e%d" code.(base + 1)
+      | 11 -> Printf.sprintf "jmp         @%d" code.(base + 1)
+      | 12 -> "tick"
+      | 13 -> Printf.sprintf "exhaust     e%d" code.(base + 1)
       | op -> Printf.sprintf "bad opcode %d" op
     in
     let annot =

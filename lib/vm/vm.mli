@@ -4,30 +4,30 @@
     instruction array executed by a small register VM: constraint rows
     of every membership oracle are packed into a shared integer/float
     pool, union dispatch is jump-threaded off the Karp–Luby categorical
-    draw, rejection loops become backward jumps on trial counters, and
+    draw, retry loops become backward jumps on trial counters, and
     convex leaves step chains through the structure-of-arrays walk
     kernel ({!Polytope.Kernel.Batch}) via its raw accessors.  The
     instruction set and operand layout are documented in DESIGN.md.
 
-    Two engines share the format:
+    The compiler covers the plans the pipeline builds: a single dfk
+    leaf or a union of dfk leaves.  It makes no decisions of its own;
+    it executes the plan's, in two modes:
 
-    - the {e strict} engine ([optimize:false], the default) is a
-      bit-exact mirror of the {!Observable} interpreter: starting from
-      the same rng state and the same {!Convex_obs.prepared} pieces it
-      consumes the identical draw sequence and emits the identical
-      sample stream, so flight records replay across engines;
-    - the {e optimized} engine ([optimize:true]) additionally applies
-      cost-based plan rewrites — per-leaf sampler selection
-      (rejection-box when {!Scdb_plan.Cost.rejection_box_trials} beats
-      the hit-and-run schedule), intersection membership conjunctions
-      reordered smallest-bounding-box-first, and duplicate union leaves
-      sharing one compiled piece and one volume estimate.  Rewrites
+    - {e strict} ([optimize:false], the default) compiles the plan as
+      given and is a bit-exact mirror of the {!Observable} interpreter:
+      starting from the same rng state and the same
+      {!Convex_obs.prepared} pieces it consumes the identical draw
+      sequence and emits the identical sample stream, so flight
+      records replay across engines;
+    - {e optimized} ([optimize:true]) first runs the plan rewrite pass
+      {!Plan_obs.rewrite} (rejection-box substitution, shared duplicate
+      union leaves), then compiles the rewritten plan.  Rewrites
       preserve the sampling distribution but not the rng stream.
 
-    Volume estimation (the weight prologues that seed union/argmin
-    dispatch) still runs the interpreted estimators — the VM compiles
-    the per-draw hot path, and the interpreter stays the differential
-    oracle for it. *)
+    Either way the interpreter over the compiled plan
+    ({!Plan_obs.observables}) is the bit-exact oracle: the weight
+    prologues that seed union dispatch estimate volumes through that
+    same tree, and the VM compiles only the per-draw hot path. *)
 
 type t
 
@@ -38,13 +38,14 @@ val compile :
   unit ->
   (t, string) result
 (** Lower [plan] over its prepared convex pieces, given in preorder
-    leaf order (the order {!Scdb_gis.Plan_exec} constructs them in).
-    The compiler cross-checks every budget recorded in the plan
-    (union trials, rejection budgets, walk schedules) against the
-    {!Scdb_plan.Cost} formulas it inlines and refuses to compile on
-    mismatch; [Sample] and [Report] tasks over
-    dfk/guard/union/inter/diff nodes are supported (the report task's
-    volume estimation runs through {!mirror}). *)
+    leaf order (the order {!Scdb_gis.Plan_build.of_relation} prepares
+    them in); with [optimize:true], lower [Plan_obs.rewrite plan
+    pieces] instead.  The compiler cross-checks the budgets recorded in
+    the plan (union trials, walk schedules) against the
+    {!Scdb_plan.Cost} formulas and refuses to compile on mismatch.
+    [Sample] and [Report] tasks over dfk/union nodes are supported (the
+    report task's volume estimation runs through {!mirror}); any other
+    task or operator is an [Error]. *)
 
 val optimized : t -> bool
 val dim : t -> int
@@ -75,19 +76,20 @@ val sample_many : ?prof:prof -> t -> Rng.t -> n:int -> Vec.t list
 (** [n] draws in order; mirrors {!Observable.sample_many}. *)
 
 val mirror : t -> Observable.t
-(** The interpreted mirror of the compiled plan (each node
-    Progress-tagged with its plan-node id).  The weight prologues
-    estimate through it; [report --engine vm|vm-opt] runs its volume
-    estimate here so the result matches the interpreter's contract. *)
+(** The interpreted tree of the compiled plan
+    ({!Plan_obs.observables}: the rewritten plan under [optimize:true]).
+    The weight prologues estimate through it; [report --engine vm|vm-opt]
+    runs its volume estimate here. *)
 
 (** {1 Symbolization}
 
     The compiler records, for every code word, the plan-node id whose
-    codegen emitted it plus a rewrite tag naming the vm-opt rewrite
-    that shaped it ([rejection_box_substituted], [shared_union_leaf],
-    [reordered_membership]).  {!disassemble} annotates each line with
-    both; the profiler folds per-pc counts through this table into
-    per-node attribution rows. *)
+    codegen emitted it plus the rewrite tag of that node
+    ({!Scdb_plan.Plan.rewrite_tag}: [rejection_box_substituted],
+    [shared_union_leaf]; a union carries [shared_union_leaf] on its
+    weight prologue when it shares weights).  {!disassemble} annotates
+    each line with both; the profiler folds per-pc counts through this
+    table into per-node attribution rows. *)
 
 val code_words : t -> int
 (** Length of the code array — the domain of {!prof} cells and pcs. *)

@@ -43,7 +43,7 @@ let compile_ok ?(optimize = false) ~task ~seed formula =
   | Some (_, Error m) -> Alcotest.failf "compile failed: %s" m
   | None -> Alcotest.fail "fixture relation is empty"
 
-let known_tags = [ "rejection_box_substituted"; "shared_union_leaf"; "reordered_membership" ]
+let known_tags = [ "rejection_box_substituted"; "shared_union_leaf" ]
 
 (* ------------------------------------------------------------------ *)
 (* Symbolization                                                       *)

@@ -1,8 +1,8 @@
 (* Differential tests for the plan→kernel VM: the strict engine must be
    a bit-exact mirror of the observable interpreter (same rng stream,
-   same sample stream), the optimized engine must stay inside the
-   relation, and committed flight records must replay through both
-   engines. *)
+   same sample stream), the optimized engine must equal the interpreter
+   on the rewritten plan, and committed flight records must replay
+   through both engines. *)
 
 open Scdb_core
 module P = Scdb_polytope.Polytope
@@ -11,6 +11,7 @@ module Plan = Scdb_plan.Plan
 module Vm = Scdb_vm.Vm
 module Flight = Scdb_gis.Flight
 module Plan_exec = Scdb_gis.Plan_exec
+module Plan_build = Scdb_gis.Plan_build
 module Flightrec = Scdb_log.Flightrec
 
 let t name f = Alcotest.test_case name `Quick f
@@ -63,80 +64,8 @@ let read_fixture name =
   | Ok r -> r
   | Error m -> Alcotest.failf "fixture %s did not parse: %s" name m
 
-(* Hand-built inter/diff harness: prepare the pieces once per engine
-   from the same seed (identical preprocessing draws), then sample
-   through the interpreter and through the strict VM and compare. *)
-
 let box2 x0 x1 y0 y1 =
   P.box [| x0; y0 |] [| x1; y1 |]
-
-let prepare_all seed polys =
-  let rng = Rng.create seed in
-  let preps = List.map (fun p -> Option.get (Convex_obs.prepare ~config:cfg rng p)) polys in
-  (rng, Array.of_list preps)
-
-let drain_draws o = Rng.draw_count o
-
-let inter_case ~seed ~n =
-  let polys = [ box2 0.0 2.0 0.0 1.0; box2 1.0 3.0 0.0 1.0 ] in
-  let eps = 0.2 and delta = 0.1 and gamma = 0.05 in
-  let m = List.length polys in
-  let sub_eps = eps /. 3.0 and sub_delta = delta /. float_of_int (4 * m) in
-  let leaf () =
-    List.map
-      (fun (p : P.t) ->
-        Plan.dfk ~eps:sub_eps ~delta:sub_delta ~dim:(P.dim p) ~method_:"walk"
-          ~constraints:(P.num_constraints p) ~volume_budget:2000 ())
-      polys
-  in
-  let plan =
-    Plan.finalize ~gamma ~eps ~delta ~task:(Plan.Sample n)
-      (Plan.inter_ ~eps ~delta (leaf ()))
-  in
-  (* interpreter run *)
-  let rng_i, preps_i = prepare_all seed polys in
-  let obs = Inter.inter (List.map Convex_obs.observe (Array.to_list preps_i)) in
-  let params = Params.make ~gamma ~eps ~delta () in
-  let pts_i = Observable.sample_many obs rng_i params ~n in
-  (* strict vm run *)
-  let rng_v, preps_v = prepare_all seed polys in
-  let prog =
-    match Vm.compile ~plan ~pieces:preps_v () with
-    | Ok p -> p
-    | Error m -> Alcotest.failf "inter plan did not compile: %s" m
-  in
-  let pts_v = Vm.sample_many prog rng_v ~n in
-  check_streams "inter streams" pts_i pts_v;
-  Alcotest.(check int) "inter draw counts" (drain_draws rng_i) (drain_draws rng_v)
-
-let diff_case ~seed ~n =
-  let a = box2 0.0 3.0 0.0 1.0 and b = box2 2.0 5.0 (-1.0) 2.0 in
-  let polys = [ a; b ] in
-  let eps = 0.2 and delta = 0.1 and gamma = 0.05 in
-  let sub_eps = eps /. 3.0 in
-  let node p =
-    Plan.dfk ~eps:sub_eps ~delta:0.1 ~dim:2 ~method_:"walk"
-      ~constraints:(P.num_constraints p) ~volume_budget:2000 ()
-  in
-  let plan =
-    Plan.finalize ~gamma ~eps ~delta ~task:(Plan.Sample n)
-      (Plan.diff_ ~eps ~delta (node a) (node b))
-  in
-  let rng_i, preps_i = prepare_all seed polys in
-  let obs =
-    Diff.diff (Convex_obs.observe preps_i.(0)) (Convex_obs.observe preps_i.(1))
-  in
-  let params = Params.make ~gamma ~eps ~delta () in
-  let pts_i = Observable.sample_many obs rng_i params ~n in
-  let rng_v, preps_v = prepare_all seed polys in
-  let prog =
-    match Vm.compile ~plan ~pieces:preps_v () with
-    | Ok p -> p
-    | Error m -> Alcotest.failf "diff plan did not compile: %s" m
-  in
-  let pts_v = Vm.sample_many prog rng_v ~n in
-  check_streams "diff streams" pts_i pts_v;
-  Alcotest.(check int) "diff draw counts" (drain_draws rng_i) (drain_draws rng_v)
 
 let union_case ~seed ~k ~n =
   let formula = boxes_formula (Rng.create (1000 + k)) k in
@@ -167,14 +96,56 @@ let mirror_tests =
         check_streams "rejection streams" oi.Flight.points ov.Flight.points;
         Alcotest.(check int) "rejection draw counts" (Rng.draw_count oi.Flight.rng)
           (Rng.draw_count ov.Flight.rng));
-    ts "intersection plans mirror the interpreter" (fun () ->
-        List.iter (fun seed -> inter_case ~seed ~n:3) [ 51; 52 ]);
-    ts "difference plans mirror the interpreter" (fun () ->
-        List.iter (fun seed -> diff_case ~seed ~n:3) [ 61; 62 ]);
   ]
+
+(* The interpreter on the rewritten plan is vm-opt's oracle: the same
+   seed builds the same plan and pieces twice; one copy runs
+   [Plan_obs.rewrite] and the interpreter, the other [Vm.compile
+   ~optimize:true].  [expect] names a rewrite the plan must carry. *)
+let oracle_case ~seed ~n ~expect formula =
+  let relation =
+    Relation.of_formula ~dim:2 (Scdb_constr.Parser.parse ~vars:[ "x"; "y" ] formula)
+  in
+  let gamma = 0.05 and eps = 0.2 and delta = 0.1 in
+  let build rng =
+    match
+      Plan_build.of_relation ~config:cfg ~gamma ~eps ~delta ~task:(Plan.Sample n) rng relation
+    with
+    | Some built -> built
+    | None -> Alcotest.failf "%s: relation should be compilable" formula
+  in
+  let rng_i = Rng.create seed in
+  let plan, pieces = build rng_i in
+  let plan = Plan_obs.rewrite plan pieces in
+  let rewrites = ref [] in
+  Plan.iter_nodes (fun n -> rewrites := Plan.rewrite_tag n.Plan.rewrite :: !rewrites) plan;
+  Alcotest.(check bool) (formula ^ ": rewrite fired") true (List.mem (Some expect) !rewrites);
+  let obs = (Plan_obs.observables plan pieces).(plan.Plan.root.Plan.id) in
+  let pts_i = Observable.sample_many obs rng_i (Params.make ~gamma ~eps ~delta ()) ~n in
+  let rng_v = Rng.create seed in
+  let plan, pieces = build rng_v in
+  let prog =
+    match Vm.compile ~optimize:true ~plan ~pieces () with
+    | Ok p -> p
+    | Error m -> Alcotest.failf "%s: compile failed: %s" formula m
+  in
+  let pts_v = Vm.sample_many prog rng_v ~n in
+  check_streams (formula ^ ": streams") pts_i pts_v;
+  Alcotest.(check int) (formula ^ ": draw counts") (Rng.draw_count rng_i) (Rng.draw_count rng_v)
 
 let opt_tests =
   [
+    ts "interp on the rewritten plan equals vm-opt bit-for-bit" (fun () ->
+        oracle_case ~seed:42 ~n:20 ~expect:"rejection_box_substituted"
+          "(x >= 0 /\\ y >= 0 /\\ x + y <= 1) \\/ (2 <= x /\\ x <= 3 /\\ 0 <= y /\\ y <= 1)";
+        oracle_case ~seed:43 ~n:20 ~expect:"shared_union_leaf"
+          "(x > 0 /\\ y > 0 /\\ x + y < 1) \\/ (x >= 0 /\\ y >= 0 /\\ x + y <= 1) \\/ (2 <= x \
+           /\\ x <= 3 /\\ 0 <= y /\\ y <= 1)";
+        List.iter
+          (fun k ->
+            oracle_case ~seed:(70 + k) ~n:5 ~expect:"rejection_box_substituted"
+              (boxes_formula (Rng.create (2000 + k)) k))
+          [ 1; 4; 16 ]);
     ts "vm-opt is deterministic and stays inside the relation" (fun () ->
         let formula = boxes_formula (Rng.create 79) 4 in
         let a = flight_args ~engine:"vm-opt" ~seed:8 ~n:12 formula in
@@ -229,6 +200,17 @@ let compile_tests =
         match Vm.compile ~plan ~pieces:[| prep |] () with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "expected a task error");
+    t "intersection plans are refused" (fun () ->
+        let rng = Rng.create 13 in
+        let prep () = Option.get (Convex_obs.prepare ~config:cfg rng (box2 0.0 1.0 0.0 1.0)) in
+        let leaf () = Plan.dfk ~eps:0.2 ~delta:0.1 ~dim:2 ~method_:"walk" ~volume_budget:2000 () in
+        let plan =
+          Plan.finalize ~gamma:0.05 ~eps:0.2 ~delta:0.1 ~task:(Plan.Sample 1)
+            (Plan.inter_ ~eps:0.2 ~delta:0.1 [ leaf (); leaf () ])
+        in
+        match Vm.compile ~plan ~pieces:[| prep (); prep () |] () with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "expected an unsupported-operator error");
     t "instruction_count and disassembly agree" (fun () ->
         let rng = Rng.create 12 in
         let relation = Relation.unit_cube 2 in
@@ -267,6 +249,12 @@ let fixture_tests =
         (match Flight.replay ~engine:"vm" r with
         | Ok n -> Alcotest.(check int) "vm samples" 6 n
         | Error m -> Alcotest.failf "vm replay diverged: %s" m);
+        (* Recorded under vm-opt with both rewrites firing (rejection-box
+           and a shared strict/non-strict duplicate leaf). *)
+        let r = read_fixture "union_dup_vmopt.flightrec.json" in
+        (match Flight.replay r with
+        | Ok n -> Alcotest.(check int) "vm-opt samples" 6 n
+        | Error m -> Alcotest.failf "vm-opt replay diverged: %s" m);
         Rng.Provenance.set_tracking false);
   ]
 
