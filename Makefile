@@ -62,8 +62,11 @@ check:
 # Figure 1 union against the exact oracle (40 replicates over 2
 # domains), its audit document validated and gated against
 # the committed AUDIT_1.json ledger (same fingerprint, contract still
-# met), and a domains-vs-seq audit differential: the two documents must
-# be byte-identical and their merged telemetry counters exactly equal.
+# met), a fault-injected audit (`--phase-samples 5` starves the DFK
+# leaf estimates, which the plan then keeps instead of exact leaf
+# volumes) that must FAIL with exit 1, and a domains-vs-seq audit
+# differential: the two documents must be byte-identical and their
+# merged telemetry counters exactly equal.
 # Every document is checked by the one validator, `bench/validate.exe`
 # (subcommands report, plan, logs, profile, status, audit).  Throwaway
 # artifacts go to _build/.
@@ -142,6 +145,10 @@ ci: check
 	  --out _build/audit_ci.json > /dev/null
 	dune exec bench/validate.exe -- audit _build/audit_ci.json \
 	  --check AUDIT_1.json
+	status=0; dune exec bin/spatialdb.exe -- audit --vars x,y \
+	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
+	  --seed 42 --phase-samples 5 --oracle exact > /dev/null || status=$$?; \
+	  test $$status -eq 1
 	dune exec bin/spatialdb.exe -- audit --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
 	  --seed 42 --runs 6 --jobs 2 --jobs-mode domains --oracle exact \

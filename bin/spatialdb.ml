@@ -469,7 +469,11 @@ let sample_cmd =
 
 let volume_cmd =
   let mode_arg =
-    let doc = "One of: exact (Lasserre + inclusion-exclusion), grid:GAMMA (fixed-dimension decomposition), sampling (DFK estimators)." in
+    let doc =
+      "One of: exact (Lasserre + inclusion-exclusion), grid:GAMMA (fixed-dimension \
+       decomposition), sampling ((ε,δ) pipeline; leaves exact when the cost model finds it \
+       cheaper)."
+    in
     Arg.(value & opt string "sampling" & info [ "mode" ] ~doc)
   in
   let run vars_s formula mode seed eps delta stats stats_out o progress overrun_factor =

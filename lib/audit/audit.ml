@@ -94,11 +94,11 @@ let exact_truth ?(max_tuples = 16) relation =
   | exception VE.Unbounded -> None
   | exception Invalid_argument _ -> None
 
-let estimate_once ~config ~gamma ~eps ~delta relation s =
+let estimate_once ?exact_when_cheap ~config ~gamma ~eps ~delta relation s =
   let rng = Rng.create s in
   match
-    Plan_exec.observable_of_relation ~config ~gamma ~eps ~delta ~task:Plan.Volume rng
-      relation
+    Plan_exec.observable_of_relation ~config ?exact_when_cheap ~gamma ~eps ~delta
+      ~task:Plan.Volume rng relation
   with
   | None -> None
   | Some (_plan, obs) -> (
@@ -260,11 +260,11 @@ type t = {
   budget : budget_row array;
 }
 
-let attribution_pass ~config ~gamma ~eps ~delta ~seed relation =
+let attribution_pass ~exact_when_cheap ~config ~gamma ~eps ~delta ~seed relation =
   let rng = Rng.create seed in
   match
-    Plan_exec.observable_of_relation ~config ~gamma ~eps ~delta ~task:Plan.Volume
-      rng relation
+    Plan_exec.observable_of_relation ~config ~exact_when_cheap ~gamma ~eps ~delta
+      ~task:Plan.Volume rng relation
   with
   | None -> [||]
   | Some (plan, obs) ->
@@ -284,7 +284,9 @@ let run ?(gamma = Scdb_gis.Flight.gamma) ?(jobs = 1) ?(mode = Domains) ?(confide
     (* Fault injection for the regression demo: overriding the mixing
        schedule or the per-phase sample budget starves the estimator
        without touching anything else, so a deliberately broken
-       estimator meets an unchanged oracle. *)
+       estimator meets an unchanged oracle.  Both corrupt the DFK leaf
+       estimate, so under either every leaf stays sampled. *)
+    let exact_when_cheap = walk_steps = None && phase_samples = None in
     let config =
       match walk_steps with
       | None -> practical
@@ -327,12 +329,14 @@ let run ?(gamma = Scdb_gis.Flight.gamma) ?(jobs = 1) ?(mode = Domains) ?(confide
         (match used with
         | Exact -> Tel.Counter.incr tel_oracle_exact
         | Reference -> Tel.Counter.incr tel_oracle_reference);
-        let estimate s = estimate_once ~config ~gamma ~eps ~delta relation s in
+        let estimate s = estimate_once ~exact_when_cheap ~config ~gamma ~eps ~delta relation s in
         let cov =
           Trace.span "audit.verify" ~attrs:[ ("runs", string_of_int runs) ] @@ fun () ->
           verify ~jobs ~mode ~confidence ~eps ~delta ~runs ~seed ~truth estimate
         in
-        let budget = attribution_pass ~config ~gamma ~eps ~delta ~seed relation in
+        let budget =
+          attribution_pass ~exact_when_cheap ~config ~gamma ~eps ~delta ~seed relation
+        in
         Ok { fingerprint; oracle = used; truth; truth_exact; eps; delta; gamma; cov; budget }
   end
 

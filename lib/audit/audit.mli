@@ -181,7 +181,9 @@ val run :
     mixing schedule / per-phase volume sample budget (the oracle is
     untouched), so a deliberately starved estimator is how the
     Figure 1 regression demo shows the auditor catching a broken
-    sampler. *)
+    sampler.  Under either, every leaf keeps its DFK volume estimate;
+    otherwise the plan makes leaf volumes exact when cheap
+    ({!Scdb_plan.Cost.exact_volume_pays}). *)
 
 val schema : string
 (** ["spatialdb-audit/1"]. *)

@@ -1,6 +1,10 @@
 module Plan = Scdb_plan.Plan
 module Cost = Scdb_plan.Cost
 module Progress = Scdb_progress.Progress
+module Tel = Scdb_telemetry.Telemetry
+module Trace = Scdb_trace.Trace
+
+let tel_exact = Tel.Counter.make "volume.exact"
 
 let is_leaf (n : Plan.node) = match n.Plan.op with Plan.Dfk _ | Plan.Guard -> true | _ -> false
 
@@ -80,6 +84,23 @@ let tag id (obs : Observable.t) =
         Progress.with_node id (fun () -> obs.Observable.volume rng ~gamma ~eps ~delta));
   }
 
+(* Theorem 3.1 (R2): the Lasserre volume of the leaf's tuple, computed
+   on first use and reused for every (γ,ε,δ).  It draws nothing, so no
+   executor's rng stream depends on when it runs. *)
+let with_exact_volume (p : Convex_obs.prepared) (o : Observable.t) =
+  let tuple =
+    match Option.map Relation.tuples p.Convex_obs.p_relation with
+    | Some [ tuple ] -> tuple
+    | _ -> invalid_arg "Plan_obs: an exact leaf needs its piece's one-tuple relation"
+  in
+  let v =
+    lazy
+      ( Trace.span "volume.exact" @@ fun () ->
+        Tel.Counter.incr tel_exact;
+        Rational.to_float (Volume_exact.volume_tuple ~dim:p.Convex_obs.p_dim tuple) )
+  in
+  { o with Observable.volume = (fun _ ~gamma:_ ~eps:_ ~delta:_ -> Lazy.force v) }
+
 let observables (plan : Plan.t) pieces =
   let piece = pieces_by_id plan pieces in
   let shared = Hashtbl.create 4 in
@@ -98,6 +119,7 @@ let observables (plan : Plan.t) pieces =
             else p
           in
           let o = Convex_obs.observe p in
+          let o = if Plan.is_exact_leaf n then with_exact_volume p o else o in
           if Hashtbl.mem shared n.Plan.id then begin
             (* Its sharers read the weight this leaf estimates. *)
             let o = Observable.with_cached_volume o in

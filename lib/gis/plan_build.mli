@@ -1,7 +1,8 @@
 (** Query plans for GIS relations.
 
     Every generalized tuple that survives well-rounding becomes a DFK
-    leaf (costed for the configured sampler and volume budget), and
+    leaf (costed for the configured sampler and volume budget, its
+    volume exact when {!Scdb_plan.Cost.exact_volume_pays}), and
     multi-tuple relations get a Karp–Luby union root whose children are
     costed at the sub-call parameters the runtime threads down (ε/3,
     δ/(4m)).  Nothing is sampled: the rounding preprocessing is the
@@ -13,6 +14,7 @@ val method_name : Convex_obs.config -> string
 
 val leaf_node :
   ?config:Convex_obs.config ->
+  ?exact_when_cheap:bool ->
   eps:float ->
   delta:float ->
   dim:int ->
@@ -20,10 +22,14 @@ val leaf_node :
   Scdb_plan.Plan.node
 (** Unchecked DFK leaf for one tuple (the executor calls this for
     tuples it has already built an observable for).  Default config is
-    {!Convex_obs.practical_config}. *)
+    {!Convex_obs.practical_config}.  [exact_when_cheap] (default
+    [true]) lets the cost model make the leaf's volume exact
+    ({!Scdb_plan.Plan.dfk}); [false] keeps the DFK estimate, whose
+    budget the audit's fault injection corrupts. *)
 
 val of_relation :
   ?config:Convex_obs.config ->
+  ?exact_when_cheap:bool ->
   gamma:float ->
   eps:float ->
   delta:float ->

@@ -1,11 +1,11 @@
 module Plan = Scdb_plan.Plan
 module Progress = Scdb_progress.Progress
 
-let observable_of_relation ?config ~gamma ~eps ~delta ~task rng r =
+let observable_of_relation ?config ?exact_when_cheap ~gamma ~eps ~delta ~task rng r =
   Option.map
     (fun (plan, pieces) ->
       (plan, (Plan_obs.observables plan pieces).(plan.Plan.root.Plan.id)))
-    (Plan_build.of_relation ?config ~gamma ~eps ~delta ~task rng r)
+    (Plan_build.of_relation ?config ?exact_when_cheap ~gamma ~eps ~delta ~task rng r)
 
 let compiled_of_relation ?config ?(optimize = false) ~gamma ~eps ~delta ~task rng r =
   Option.map
@@ -82,8 +82,15 @@ let budget_attribution plan (attr : attribution_row array) =
         | Some a -> (a.predicted, a.actual, a.ratio)
         | None -> (Float.nan, Float.nan, Float.nan)
       in
+      (* An exact leaf volume cannot fail: its whole grant is slack. *)
+      let exact =
+        match Plan.find_node plan g.Scdb_plan.Plan.g_id with
+        | Some n -> Plan.is_exact_leaf n
+        | None -> false
+      in
       let achieved =
         if Float.is_nan g.Scdb_plan.Plan.g_delta then Float.nan
+        else if exact then 0.0
         else Scdb_plan.Cost.delta_at_work_ratio ~delta:g.Scdb_plan.Plan.g_delta ~ratio
       in
       {

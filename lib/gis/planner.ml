@@ -39,8 +39,11 @@ let cost_exact inst ~free_dim q =
   let m = float_of_int (Stdlib.max 2 atoms) in
   (* Fourier–Motzkin: m^(2^k) constraints in the worst case. *)
   let fm = Float.min cap (m ** Float.min 60.0 (2.0 ** float_of_int quantified)) in
-  (* Lasserre: ~m^d per tuple; inclusion–exclusion: 2^tuples volume calls. *)
-  let lasserre = Float.min cap (m ** float_of_int free_dim) in
+  (* Lasserre per tuple, in the plan's walk-step units; inclusion–exclusion:
+     2^tuples volume calls. *)
+  let lasserre =
+    Float.min cap (Cost.lasserre_work ~dim:free_dim ~constraints:(Stdlib.max 2 atoms))
+  in
   let ie = Float.min cap (2.0 ** float_of_int (Stdlib.min 40 disjuncts)) in
   Float.min cap (fm +. (ie *. lasserre))
 

@@ -65,3 +65,22 @@ let volume_samples_per_phase ~eps ~delta ~phases =
     let q = float_of_int phases in
     samples_for_ratio ~eps:(eps /. (2.0 *. q)) ~delta:(delta /. q) ~p_lower:0.5
   end
+
+(* Calibrated against the DFK volume path (2-core x86-64, d = 2..7 with
+   5..15 constraints): a predicted walk step cost 0.22-0.56 µs and one
+   falling-factorial unit of the Lasserre recursion 0.18-4.7 µs, the
+   unit getting cheaper as the recursion grows.  Where the choice is
+   close (d = 6-7) a unit is 0.3-0.6 steps; an exact simplex is about
+   m·d steps. *)
+let lasserre_unit_steps = 0.5
+
+let lasserre_work ~dim ~constraints =
+  let m = float_of_int constraints and d = float_of_int dim in
+  let falling = ref 1.0 in
+  for i = 0 to dim - 1 do
+    falling := !falling *. Float.max 0.0 (m -. float_of_int i)
+  done;
+  (lasserre_unit_steps *. !falling) +. (2.0 *. d *. m *. d)
+
+let exact_volume_pays ~dim ~constraints ~sampled_work =
+  constraints > 0 && lasserre_work ~dim ~constraints <= sampled_work

@@ -60,6 +60,27 @@ val rejection_box_trials : dim:int -> int
     the cost model only — the runtime budget is the sampler's
     [max_attempts] argument. *)
 
+(** {1 Exact or sampled leaf volumes}
+
+    Theorem 3.1 (R2): in fixed dimension the volume of a convex tuple
+    is exactly computable.  Whether the exact Lasserre recursion
+    ({!Scdb_polytope.Volume_exact}) or the DFK multi-phase estimate is
+    cheaper is decided in one unit, hit-and-run steps. *)
+
+val lasserre_work : dim:int -> constraints:int -> float
+(** Predicted cost of the exact volume of a [d]-dimensional tuple with
+    [m] constraints, in walk-step units: the falling factorial
+    [m·(m−1)···(m−d+1)] of facet chains the recursion visits, plus the
+    [2d] boundedness LPs at [m·d] steps each.  One recursion unit is
+    priced at half a step, as measured where the choice is close
+    (d = 6-7). *)
+
+val exact_volume_pays : dim:int -> constraints:int -> sampled_work:float -> bool
+(** [lasserre_work ≤ sampled_work]: the exact volume is predicted to
+    cost no more than a DFK estimate of [sampled_work] walk steps
+    ([phases × samples_per_phase × walk_steps]).  [false] when the
+    constraint count is unknown (0). *)
+
 (** {1 Inversions}
 
     The audit layer ({!Scdb_audit} via [spatialdb audit] and the report

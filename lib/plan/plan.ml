@@ -18,7 +18,14 @@ let scale_units k u =
   { draws = k *. u.draws; mems = k *. u.mems; steps = k *. u.steps; trials = k *. u.trials }
 
 type op =
-  | Dfk of { method_ : string; walk_steps : int; phases : int; samples_per_phase : int; constraints : int }
+  | Dfk of {
+      method_ : string;
+      walk_steps : int;
+      phases : int;
+      samples_per_phase : int;
+      constraints : int;
+      exact : bool;
+    }
   | Grid_leaf of { cells : float }
   | Union_op of { trials : int; volume_trials : int }
   | Inter_op of { poly_degree : int; budget : int; volume_trials : int }
@@ -43,6 +50,9 @@ let rewrite_tag = function
   | Kept -> None
   | Rejection_box -> Some "rejection_box_substituted"
   | Shared _ -> Some "shared_union_leaf"
+
+let is_exact_leaf n = match n.op with Dfk { exact; _ } -> exact | _ -> false
+let leaf_volume_name exact = if exact then "exact" else "sampled"
 
 let op_name = function
   | Dfk _ -> "dfk"
@@ -69,7 +79,7 @@ type task = Sample of int | Volume | Report of int
 let exclusive op ~dim ~m =
   let f = float_of_int in
   match op with
-  | Dfk { method_; walk_steps; phases; samples_per_phase; constraints = _ } ->
+  | Dfk { method_; walk_steps; phases; samples_per_phase; exact; _ } ->
       let s = f walk_steps in
       let per_sample =
         match method_ with
@@ -81,11 +91,13 @@ let exclusive op ~dim ~m =
       in
       (* The multi-phase estimator always walks (hit-and-run, or the
          lattice walk under the grid sampler): q·spp warm-started walks
-         of the same length as a generator call. *)
+         of the same length as a generator call.  An exact leaf volume
+         is rng-free and walks nowhere. *)
       let n = f (phases * samples_per_phase) in
       let draws_per_step = if method_ = "grid" then 3.0 else f (dim + 1) in
       let per_volume =
-        { draws = n *. s *. draws_per_step; mems = n *. s; steps = n *. s; trials = 0.0 }
+        if exact then zero
+        else { draws = n *. s *. draws_per_step; mems = n *. s; steps = n *. s; trials = 0.0 }
       in
       (per_sample, per_volume)
   | Grid_leaf { cells } ->
@@ -120,7 +132,8 @@ let node op ~dim per_sample per_volume children =
 
 let sum_children f children = List.fold_left (fun acc c -> add_units acc (f c)) zero children
 
-let dfk ~eps ~delta ~dim ?(method_ = "walk") ?(constraints = 0) ?volume_budget () =
+let dfk ~eps ~delta ~dim ?(method_ = "walk") ?(constraints = 0) ?volume_budget
+    ?(exact_when_cheap = false) () =
   let walk_steps =
     match method_ with
     | "grid" -> Cost.lattice_steps ~dim ~eps
@@ -132,7 +145,12 @@ let dfk ~eps ~delta ~dim ?(method_ = "walk") ?(constraints = 0) ?volume_budget (
     | Some n -> n
     | None -> Cost.volume_samples_per_phase ~eps ~delta ~phases
   in
-  let op = Dfk { method_; walk_steps; phases; samples_per_phase; constraints } in
+  let exact =
+    exact_when_cheap
+    && Cost.exact_volume_pays ~dim ~constraints
+         ~sampled_work:(float_of_int (phases * samples_per_phase * walk_steps))
+  in
+  let op = Dfk { method_; walk_steps; phases; samples_per_phase; constraints; exact } in
   let per_sample, per_volume = exclusive op ~dim ~m:0 in
   node op ~dim per_sample per_volume []
 
@@ -421,7 +439,10 @@ let to_json t =
     add
       (Printf.sprintf "{\"id\": %d, \"op\": \"%s\", \"dim\": %d," n.id (op_name n.op) n.dim);
     (match n.op with
-    | Dfk { method_; _ } -> add (Printf.sprintf " \"method\": \"%s\"," method_)
+    | Dfk { method_; exact; _ } ->
+        add
+          (Printf.sprintf " \"method\": \"%s\", \"volume\": \"%s\"," method_
+             (leaf_volume_name exact))
     | _ -> ());
     add " \"attrs\": {";
     add
@@ -509,6 +530,14 @@ let of_json doc =
                 phases = a "phases";
                 samples_per_phase = a "samples_per_phase";
                 constraints = a "constraints";
+                exact =
+                  (match J.member "volume" o with
+                  | None -> false
+                  | Some v -> (
+                      match J.to_string v with
+                      | Some "exact" -> true
+                      | Some "sampled" -> false
+                      | _ -> raise (Bad "volume is neither \"exact\" nor \"sampled\"")));
               }
         | "grid" -> Grid_leaf { cells = num "cells" attrs }
         | "union" -> Union_op { trials = a "trials"; volume_trials = a "volume_trials" }
@@ -578,7 +607,11 @@ let to_text_tree t =
       String.concat " "
         (List.map (fun (k, v) -> Printf.sprintf "%s=%g" k v) (attrs_of_op n.op))
     in
-    let meth = match n.op with Dfk { method_; _ } -> " method=" ^ method_ | _ -> "" in
+    let meth =
+      match n.op with
+      | Dfk { method_; exact; _ } -> " method=" ^ method_ ^ " volume=" ^ leaf_volume_name exact
+      | _ -> ""
+    in
     Buffer.add_string buf
       (Printf.sprintf "%s%s%s #%d dim=%d%s%s  sample=%.3g volume=%.3g budget=%.3g\n" prefix
          branch (op_name n.op) n.id n.dim meth

@@ -31,9 +31,19 @@ val scale_units : float -> units -> units
 (** Operator of a plan node, carrying the paper-prescribed budgets the
     node was costed with. *)
 type op =
-  | Dfk of { method_ : string; walk_steps : int; phases : int; samples_per_phase : int; constraints : int }
+  | Dfk of {
+      method_ : string;
+      walk_steps : int;
+      phases : int;
+      samples_per_phase : int;
+      constraints : int;
+      exact : bool;
+    }
       (** Convex leaf: DFK lattice walk / hit-and-run / rejection-box
-          generator plus the multi-phase volume estimator. *)
+          generator, plus either the multi-phase volume estimator
+          ([exact = false]) or the exact Lasserre volume of its tuple
+          ([exact = true]: no walk steps, no draws, no failure
+          probability). *)
   | Grid_leaf of { cells : float }
       (** Fixed-dimension γ-grid decomposition (Theorem 3.1). *)
   | Union_op of { trials : int; volume_trials : int }
@@ -74,6 +84,9 @@ val rewrite_tag : rewrite -> string option
 (** Provenance tag of a rewrite: ["rejection_box_substituted"] or
     ["shared_union_leaf"]; [None] for [Kept]. *)
 
+val is_exact_leaf : node -> bool
+(** A dfk leaf whose volume is computed exactly. *)
+
 val op_name : op -> string
 (** ["dfk"], ["grid"], ["union"], ["inter"], ["diff"], ["project"],
     ["boost"], ["guard"]. *)
@@ -99,6 +112,7 @@ val dfk :
   ?method_:string ->
   ?constraints:int ->
   ?volume_budget:int ->
+  ?exact_when_cheap:bool ->
   unit ->
   node
 (** [method_] is ["walk"] (hit-and-run, default), ["grid"] (lattice
@@ -106,7 +120,11 @@ val dfk :
     the description size of the tuple (membership-oracle cost;
     informational).  [volume_budget] fixes the per-phase sample count
     (the CLI's practical budget); omitted, the rigorous
-    {!Cost.volume_samples_per_phase} sizing applies. *)
+    {!Cost.volume_samples_per_phase} sizing applies.  With
+    [exact_when_cheap] (default [false]) the leaf's volume is exact
+    when {!Cost.exact_volume_pays} finds the Lasserre recursion over
+    [constraints] no dearer than the [phases × samples_per_phase ×
+    walk_steps] DFK estimate; an exact leaf's [per_volume] is zero. *)
 
 val grid_leaf : dim:int -> cells:float -> node
 
@@ -171,7 +189,9 @@ val schema : string
 
 val to_json : t -> string
 (** The {!schema} document: parameters, task, total work and the node
-    tree with per-node estimates, attributes and budgets.  A non-finite
+    tree with per-node estimates, attributes and budgets; a dfk node
+    carries its ["method"] and its leaf ["volume"] ("exact" or
+    "sampled", read as "sampled" when absent).  A non-finite
     number is written as [null] ({!Scdb_json.Json_out}). *)
 
 val of_json : Scdb_json.Json.t -> (t, string) result

@@ -301,6 +301,17 @@ type t = {
 let optimized t = t.opt
 let dim t = t.pdim
 let mirror t = t.mirror_obs
+
+let weights t rng =
+  Array.iteri
+    (fun s ready ->
+      if not ready then begin
+        t.prologues.(s) rng;
+        t.ready.(s) <- true
+      end)
+    t.ready;
+  Array.map Array.copy t.weights
+
 let code_words t = Array.length t.code
 let node_at t pc = t.dbg_node.(pc)
 let tag_at t pc = tag_name t.dbg_tag.(pc)

@@ -81,6 +81,11 @@ val mirror : t -> Observable.t
     The weight prologues estimate through it; [report --engine vm|vm-opt]
     runs its volume estimate here. *)
 
+val weights : t -> Rng.t -> float array array
+(** The Karp–Luby weights of every union, in weight-slot order (copies).
+    A slot whose prologue has not run yet runs it now on [rng], drawing
+    exactly what the first {!sample_one} would have drawn for it. *)
+
 (** {1 Symbolization}
 
     The compiler records, for every code word, the plan-node id whose

@@ -194,8 +194,8 @@ let oracle_tests =
         let truth = Q.to_float (Option.get (A.exact_truth triangle)) in
         let rng = Rng.create 42 in
         match
-          Scdb_gis.Plan_exec.observable_of_relation ~gamma:0.05 ~eps ~delta
-            ~task:Scdb_plan.Plan.Volume rng triangle
+          Scdb_gis.Plan_exec.observable_of_relation ~exact_when_cheap:false ~gamma:0.05 ~eps
+            ~delta ~task:Scdb_plan.Plan.Volume rng triangle
         with
         | None -> Alcotest.fail "triangle should be estimable"
         | Some (_, obs) ->

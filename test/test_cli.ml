@@ -28,6 +28,25 @@ let success_tests =
         check "json" 0 ("explain " ^ fig1 ^ " --format json");
         check "volume task" 0 ("explain " ^ fig1 ^ " --task volume"));
     t "volume --mode exact exits 0" (fun () -> check "exact" 0 ("volume " ^ fig1 ^ " --mode exact"));
+    t "explain --format json shows exact and sampled leaf volumes" (fun () ->
+        let volume_of d =
+          let vars, formula = Test_plan.body_formula d in
+          let out = Filename.temp_file "explain" ".json" in
+          let code =
+            Sys.command
+              (Printf.sprintf "%s explain -v %s -f %s --format json > %s 2>/dev/null"
+                 (Filename.quote binary) (String.concat "," vars) (Filename.quote formula)
+                 (Filename.quote out))
+          in
+          Alcotest.(check int) "explain exit" 0 code;
+          let doc = Scdb_json.Json.parse (In_channel.with_open_bin out In_channel.input_all) in
+          Sys.remove out;
+          match Scdb_json.Json.member "root" doc with
+          | Some root -> Option.bind (Scdb_json.Json.member "volume" root) Scdb_json.Json.to_string
+          | None -> None
+        in
+        Alcotest.(check (option string)) "5-D body" (Some "exact") (volume_of 5);
+        Alcotest.(check (option string)) "8-D body" (Some "sampled") (volume_of 8));
   ]
 
 let usage_tests =

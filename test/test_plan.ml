@@ -198,8 +198,147 @@ let json_tests =
           rows);
   ]
 
+(* ---------------- exact or sampled leaf volumes ---------------- *)
+
+module Plan_build = Scdb_gis.Plan_build
+module Plan_exec = Scdb_gis.Plan_exec
+module Observable = Scdb_core.Observable
+module Rng = Scdb_rng.Rng
+
+let ts name f = Alcotest.test_case name `Slow f
+
+(* The benchmark's convex body in dimension d: a box with sides 3/2 and
+   2 cut by one slanted halfspace through 3/4 of its diagonal, so 2d + 1
+   constraints. *)
+let body_formula d =
+  let v i = Printf.sprintf "x%d" (i + 1) in
+  let even i = i mod 2 = 0 in
+  let bounds =
+    List.init d (fun i ->
+        Printf.sprintf "0 <= %s /\\ %s <= %s" (v i) (v i) (if even i then "3/2" else "2"))
+  in
+  let lhs = String.concat " + " (List.init d (fun i -> if even i then v i else "2*" ^ v i)) in
+  let eighths = List.fold_left ( + ) 0 (List.init d (fun i -> if even i then 12 else 32)) in
+  ( List.init d v,
+    String.concat " /\\ " (bounds @ [ Printf.sprintf "%s <= %d/8" lhs (eighths * 3 / 4) ]) )
+
+let body d =
+  let vars, formula = body_formula d in
+  Relation.of_formula ~dim:d (Scdb_constr.Parser.parse ~vars formula)
+
+let tuple_of r = match Relation.tuples r with [ t ] -> t | _ -> Alcotest.fail "one tuple"
+
+let leaf_of ~dim r = Plan_build.leaf_node ~eps:0.2 ~delta:0.1 ~dim (tuple_of r)
+
+let has needle s =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length s && (String.sub s i n = needle || go (i + 1)) in
+  go 0
+
+(* A 3-D corner cut of a box whose coefficients are 40-digit rationals. *)
+let big_tuple =
+  let digits k =
+    let s = String.init 40 (fun i -> Char.chr (48 + (((i * 7) + (k * 3) + 1) mod 10))) in
+    if s.[0] = '0' then "1" ^ s else s
+  in
+  let c k = Rational.of_string (digits k ^ "/" ^ digits (k + 11)) in
+  let le coeffs rhs = Atom.le (Term.make coeffs Rational.zero) (Term.const rhs) in
+  let z = Rational.zero and m1 = Rational.of_int (-1) in
+  [
+    le [ (0, m1) ] z; le [ (1, m1) ] z; le [ (2, m1) ] z;
+    le [ (0, c 1) ] (c 2); le [ (1, c 3) ] (c 4); le [ (2, c 5) ] (c 6);
+    le [ (0, c 7); (1, c 8); (2, c 9) ] (Rational.mul (c 10) (Rational.of_int 2));
+  ]
+
+let exact_tests =
+  [
+    t "cost gate: the 5-D benchmark body is exact, an 8-D body stays sampled" (fun () ->
+        let b5 = body 5 and b8 = body 8 in
+        Alcotest.(check int) "5-D constraints" 11 (List.length (tuple_of b5));
+        Alcotest.(check int) "8-D constraints" 17 (List.length (tuple_of b8));
+        let l5 = leaf_of ~dim:5 b5 and l8 = leaf_of ~dim:8 b8 in
+        Alcotest.(check bool) "5-D exact" true (Plan.is_exact_leaf l5);
+        Alcotest.(check bool) "8-D sampled" false (Plan.is_exact_leaf l8);
+        (* An exact leaf predicts no volume work; a sampled one its walk. *)
+        Alcotest.(check (float 0.0)) "exact per_volume" 0.0 (Plan.work l5.Plan.per_volume);
+        Alcotest.(check bool) "sampled per_volume" true (Plan.work l8.Plan.per_volume > 0.0);
+        let json l = Plan.to_json (plan_of ~task:Plan.Volume l) in
+        Alcotest.(check bool) "json says exact" true (has "\"volume\": \"exact\"" (json l5));
+        Alcotest.(check bool) "json says sampled" true (has "\"volume\": \"sampled\"" (json l8));
+        (* The same leaves without the cost model keep their DFK estimate. *)
+        let off = Plan_build.leaf_node ~exact_when_cheap:false ~eps:0.2 ~delta:0.1 ~dim:5 (tuple_of b5) in
+        Alcotest.(check bool) "opt-out stays sampled" false (Plan.is_exact_leaf off));
+    t "the gate compares Lasserre work with the DFK walk" (fun () ->
+        (* Falling factorial 11·10·9·8·7 at half a step plus 10 LPs at
+           11·5 steps each. *)
+        Alcotest.(check (float 1e-9)) "5-D, 11 constraints" (27720.0 +. 550.0)
+          (Cost.lasserre_work ~dim:5 ~constraints:11);
+        Alcotest.(check bool) "cheaper than its DFK walk" true
+          (Cost.exact_volume_pays ~dim:5 ~constraints:11 ~sampled_work:(18.0 *. 2000.0 *. 227.0));
+        Alcotest.(check bool) "unknown size never exact" false
+          (Cost.exact_volume_pays ~dim:2 ~constraints:0 ~sampled_work:1e9);
+        Alcotest.(check bool) "monotone in constraints" true
+          (Cost.lasserre_work ~dim:4 ~constraints:9 < Cost.lasserre_work ~dim:4 ~constraints:10));
+    t "exact leaves survive the plan/1 JSON round trip" (fun () ->
+        let l = leaf_of ~dim:5 (body 5) in
+        let p = plan_of ~task:(Plan.Report 10) (Plan.union_ ~eps:0.2 ~delta:0.1 [ l; leaf () ]) in
+        match Plan.of_json (J.parse (Plan.to_json p)) with
+        | Error e -> Alcotest.failf "round trip: %s" e
+        | Ok q ->
+            Alcotest.(check (list bool)) "decisions" [ true; false ]
+              (List.map Plan.is_exact_leaf q.Plan.root.Plan.children));
+    t "an exact leaf's whole delta grant is slack" (fun () ->
+        let rng = Rng.create 3 in
+        let triangle =
+          Relation.of_formula ~dim:2
+            (Scdb_constr.Parser.parse ~vars:[ "x"; "y" ] "x >= 0 /\\ y >= 0 /\\ x + y <= 1")
+        in
+        match
+          Plan_exec.observable_of_relation ~gamma:0.05 ~eps:0.2 ~delta:0.1 ~task:Plan.Volume rng
+            triangle
+        with
+        | None -> Alcotest.fail "triangle should plan"
+        | Some (plan, obs) ->
+            Plan_exec.arm plan;
+            let v = Observable.volume obs rng ~eps:0.2 ~delta:0.1 in
+            let attr = Plan_exec.attribution plan in
+            Scdb_progress.Progress.stop ();
+            Alcotest.(check (float 0.0)) "exact volume" 0.5 v;
+            Alcotest.(check (float 0.0)) "predicted work" 0.0 attr.(0).Plan_exec.predicted;
+            Alcotest.(check (float 0.0)) "actual work" 0.0 attr.(0).Plan_exec.actual;
+            let b = (Plan_exec.budget_attribution plan attr).(0) in
+            Alcotest.(check (float 0.0)) "granted delta" 0.1 b.Plan_exec.b_delta;
+            Alcotest.(check (float 0.0)) "achieved delta" 0.0 b.Plan_exec.b_delta_achieved;
+            Alcotest.(check (float 0.0)) "slack" 0.1 b.Plan_exec.b_slack);
+    ts "a 40-digit 3-D leaf is exact and beats its DFK path" (fun () ->
+        let r = Relation.make ~dim:3 [ big_tuple ] in
+        let volume ~exact_when_cheap =
+          let rng = Rng.create 5 in
+          match
+            Plan_exec.observable_of_relation ~exact_when_cheap ~gamma:0.05 ~eps:0.2 ~delta:0.1
+              ~task:Plan.Volume rng r
+          with
+          | None -> Alcotest.fail "body should plan"
+          | Some (plan, obs) ->
+              Alcotest.(check bool) "leaf decision" exact_when_cheap
+                (Plan.is_exact_leaf plan.Plan.root);
+              let t0 = Scdb_telemetry.Telemetry.Clock.now () in
+              let v = Observable.volume obs rng ~eps:0.2 ~delta:0.1 in
+              (v, Scdb_telemetry.Telemetry.Clock.now () -. t0)
+        in
+        let v_exact, t_exact = volume ~exact_when_cheap:true in
+        let _, t_dfk = volume ~exact_when_cheap:false in
+        Alcotest.(check (float 0.0)) "Lasserre value"
+          (Rational.to_float (Scdb_polytope.Volume_exact.volume_tuple ~dim:3 big_tuple))
+          v_exact;
+        Alcotest.(check bool)
+          (Printf.sprintf "exact %.1f ms < DFK %.1f ms" (t_exact *. 1e3) (t_dfk *. 1e3))
+          true (t_exact < t_dfk));
+  ]
+
 let suites =
   [
+    ("plan.exact_leaves", exact_tests);
     ("plan.budget_equality", equality_tests);
     ("plan.monotonicity", monotonicity_tests);
     ("plan.json", json_tests);

@@ -144,6 +144,25 @@ let report_tests =
             let da = strip (J.parse a.Report.json) and db = strip (J.parse b.Report.json) in
             Alcotest.(check bool) "structurally equal" true (da = db)
         | _ -> Alcotest.fail "generate failed");
+    ts "one report computes each exact leaf volume once" (fun () ->
+        (* Sample and volume of one report share the Lasserre weights of
+           the Fig. 1 union's two leaves; no DFK estimate runs. *)
+        let union =
+          "(x >= 0 /\\ y >= 0 /\\ x + y <= 1) \\/ (x >= 2 /\\ x <= 3 /\\ y >= 0 /\\ y <= 1)"
+        in
+        let counter name =
+          Option.value ~default:0 (Scdb_telemetry.Telemetry.counter_value name)
+        in
+        List.iter
+          (fun engine ->
+            match
+              Report.generate ~engine ~samples:50 ~vars:[ "x"; "y" ] ~formula:union ~seed:42 ()
+            with
+            | Error e -> Alcotest.failf "generate (%s) failed: %s" engine e
+            | Ok _ ->
+                Alcotest.(check int) (engine ^ ": exact leaf volumes") 2 (counter "volume.exact");
+                Alcotest.(check int) (engine ^ ": DFK estimates") 0 (counter "volume.estimates"))
+          [ "interp"; "vm-opt" ]);
     t "parse errors surface as Error" (fun () ->
         match Report.generate ~vars:[ "x" ] ~formula:"x >=" ~seed:1 () with
         | Error _ -> ()

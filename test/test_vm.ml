@@ -258,8 +258,69 @@ let fixture_tests =
         Rng.Provenance.set_tracking false);
   ]
 
+(* Exact leaf weights (Theorem 3.1 R2): on the Fig. 1 union both leaves
+   are cheap Lasserre bodies, so every executor's weight prologue reads
+   the exact volumes 1/2 and 1 and draws nothing. *)
+let fig1_union =
+  Relation.of_formula ~dim:2
+    (Scdb_constr.Parser.parse ~vars:[ "x"; "y" ]
+       "(x >= 0 /\\ y >= 0 /\\ x + y <= 1) \\/ (x >= 2 /\\ x <= 3 /\\ y >= 0 /\\ y <= 1)")
+
+let sorted_weights w = List.sort compare (Array.to_list w)
+
+let exact_tests =
+  [
+    t "Fig. 1 weight prologue reads exact volumes and draws nothing" (fun () ->
+        let gamma = 0.05 and eps = 0.2 and delta = 0.1 in
+        let build rng =
+          match
+            Plan_build.of_relation ~config:cfg ~gamma ~eps ~delta ~task:(Plan.Sample 10) rng
+              fig1_union
+          with
+          | Some built -> built
+          | None -> Alcotest.fail "Fig. 1 union should plan"
+        in
+        let rng = Rng.create 42 in
+        let plan, pieces = build rng in
+        let kids = plan.Plan.root.Plan.children in
+        Alcotest.(check (list bool)) "both leaves exact" [ true; true ]
+          (List.map Plan.is_exact_leaf kids);
+        (* The interpreter's Karp–Luby prologue: each child volume at
+           (ε/3, δ/4m), as Union.sample asks for it. *)
+        let obs = Plan_obs.observables plan pieces in
+        let before = Rng.draw_count rng in
+        let w =
+          Array.of_list
+            (List.map
+               (fun (c : Plan.node) ->
+                 Observable.volume obs.(c.Plan.id) ~gamma rng ~eps:(eps /. 3.0)
+                   ~delta:(delta /. 8.0))
+               kids)
+        in
+        Alcotest.(check int) "interp prologue draws" 0 (Rng.draw_count rng - before);
+        Alcotest.(check (list (float 0.0))) "interp weights" [ 0.5; 1.0 ] (sorted_weights w);
+        List.iter
+          (fun optimize ->
+            let rng = Rng.create 42 in
+            let plan, pieces = build rng in
+            let prog =
+              match Vm.compile ~optimize ~plan ~pieces () with
+              | Ok p -> p
+              | Error m -> Alcotest.failf "compile failed: %s" m
+            in
+            let before = Rng.draw_count rng in
+            let slots = Vm.weights prog rng in
+            let name = if optimize then "vm-opt" else "vm" in
+            Alcotest.(check int) (name ^ " prologue draws") 0 (Rng.draw_count rng - before);
+            Alcotest.(check int) (name ^ " weight slots") 1 (Array.length slots);
+            Alcotest.(check (list (float 0.0))) (name ^ " weights") [ 0.5; 1.0 ]
+              (sorted_weights slots.(0)))
+          [ false; true ]);
+  ]
+
 let suites =
   [
+    ("vm.exact", exact_tests);
     ("vm.mirror", mirror_tests);
     ("vm.opt", opt_tests);
     ("vm.compile", compile_tests);
