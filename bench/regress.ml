@@ -9,7 +9,9 @@
      dune exec bench/regress.exe -- --check BENCH_1.json
                                                  exit 1 if any kernel is
                                                  more than 2x slower than
-                                                 the given baseline
+                                                 the given baseline, both
+                                                 normalized by
+                                                 hit_and_run.step.seed
      dune exec bench/regress.exe -- --trend [FILES...]
                                                  walk the committed
                                                  BENCH_<n>.json trajectory
@@ -53,30 +55,38 @@ let median xs =
   let n = Array.length a in
   if n land 1 = 1 then a.(n / 2) else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2))
 
+let trials_for ~fast = if fast then 5 else 9
+
+(* One trial: ns per operation over [reps] calls of [f]. *)
+let trial ~reps ~ops f =
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to reps do
+    f ()
+  done;
+  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (reps * ops)
+
+(* The repeat count that makes one trial take ~[target] seconds. *)
+let calibrate ~fast f =
+  let target = if fast then 0.01 else 0.05 in
+  let rec go reps =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      f ()
+    done;
+    if Unix.gettimeofday () -. t0 >= target /. 2.0 || reps > 1_000_000 then reps else go (reps * 2)
+  in
+  go 1
+
+(* Every measured kernel by name, for --check's paired re-measurement. *)
+let kernels : (string, int * (unit -> unit)) Hashtbl.t = Hashtbl.create 64
+
 (* [f ()] performs [ops] operations of the kernel under test. *)
 let measure ~fast ~name ~ops f =
-  let target = if fast then 0.01 else 0.05 in
-  let trials = if fast then 5 else 9 in
-  (* Calibrate the repeat count so one trial takes ~[target] seconds. *)
-  let rec calibrate reps =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt >= target /. 2.0 || reps > 1_000_000 then (reps, dt) else calibrate (reps * 2)
-  in
-  let reps, _ = calibrate 1 in
-  let samples = ref [] in
-  for _ = 1 to trials do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    samples := (dt *. 1e9 /. float_of_int (reps * ops)) :: !samples
-  done;
-  { name; ns_per_op = median !samples; ops; trials }
+  Hashtbl.replace kernels name (ops, f);
+  let reps = calibrate ~fast f in
+  let trials = trials_for ~fast in
+  let samples = List.init trials (fun _ -> trial ~reps ~ops f) in
+  { name; ns_per_op = median samples; ops; trials }
 
 (* ------------------------------------------------------------------ *)
 (* Seed-implementation baselines                                       *)
@@ -288,8 +298,8 @@ let telemetry_snapshot ~poly ~grid ~centre =
    pipeline (Scdb_gis.Plan_exec) and embed the predicted-vs-actual
    cost attribution, so the cost model's calibration trajectory rides
    along in BENCH_<n>.json like the telemetry does.  Rows carry
-   id/op/predicted/actual/ratio — no "name"/"ns_per_op" keys, so the
-   --check baseline scanner skips the block naturally. *)
+   id/op/predicted/actual/ratio, outside the "results" array that
+   --check and --trend read. *)
 let plan_calibration ~fast =
   let module Plan_exec = Scdb_gis.Plan_exec in
   let module Progress = Scdb_progress.Progress in
@@ -688,68 +698,53 @@ let diagnostics_block ~fast ~poly =
 (* Baseline comparison (--check)                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Minimal scanner for the self-emitted format: pull every
-   {"name": "...", "ns_per_op": X} pair out of the results array.  The
-   embedded telemetry block contains neither key, so it is skipped
-   naturally. *)
-let parse_baseline file =
-  let ic = open_in file in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let out = ref [] in
-  let i = ref 0 in
-  let find_from pat start =
-    let pl = String.length pat in
-    let rec go j =
-      if j + pl > String.length s then None
-      else if String.sub s j pl = pat then Some (j + pl)
-      else go (j + 1)
-    in
-    go start
-  in
-  let rec loop () =
-    match find_from "{\"name\": \"" !i with
-    | None -> ()
-    | Some j -> (
-        let close = String.index_from s j '"' in
-        let name = String.sub s j (close - j) in
-        match find_from "\"ns_per_op\": " close with
-        | None -> ()
-        | Some k ->
-            let e = ref k in
-            while
-              !e < String.length s
-              && (match s.[!e] with '0' .. '9' | '.' | '-' | 'e' | '+' -> true | _ -> false)
-            do
-              incr e
-            done;
-            out := (name, float_of_string (String.sub s k (!e - k))) :: !out;
-            i := !e;
-            loop ())
-  in
-  loop ();
-  List.rev !out
+(* Each kernel's cost is divided by the reference kernel's
+   (hit_and_run.step.seed: frozen code, so it moves only with the
+   machine), and that ratio is compared with the same ratio in the
+   baseline, as --trend does.  The baseline was recorded on another
+   machine, so raw ns/op would compare hosts, not code.  A kernel fails
+   when its normalized cost is more than 2x the baseline's.
 
-let check_against ~baseline results =
-  let base = parse_baseline baseline in
+   The ratio is measured paired: trials of the kernel and of the
+   reference alternate, and the median per-pair ratio is taken, so load
+   from other processes that comes and goes during the run hits both
+   sides of each ratio alike. *)
+let check_ref = "hit_and_run.step.seed"
+
+let paired_ratio ~fast name =
+  let ops, f = Hashtbl.find kernels name and rops, rf = Hashtbl.find kernels check_ref in
+  let reps = calibrate ~fast f and rreps = calibrate ~fast rf in
+  median
+    (List.init (trials_for ~fast) (fun _ ->
+         let r = trial ~reps:rreps ~ops:rops rf in
+         trial ~reps ~ops f /. r))
+
+let check_against ~fast ~baseline results =
+  let base = trend_table baseline in
+  let base_ref =
+    match List.assoc_opt check_ref base with
+    | Some r when r > 0.0 -> r
+    | _ -> trend_fail "%s has no usable %s row to normalize by" baseline check_ref
+  in
   let failures = ref 0 in
-  Printf.printf "\ncheck vs %s (fail if > 2.00x):\n" baseline;
+  Printf.printf "\ncheck vs %s, normalized by %s (fail if > 2.00x):\n" baseline check_ref;
   List.iter
     (fun r ->
       match List.assoc_opt r.name base with
+      | _ when r.name = check_ref -> ()
       | None -> Printf.printf "  %-34s (no baseline, skipped)\n" r.name
       | Some b ->
-          let ratio = r.ns_per_op /. b in
+          let ratio = paired_ratio ~fast r.name /. (b /. base_ref) in
           let flag = if ratio > 2.0 then "FAIL" else "ok" in
           if ratio > 2.0 then incr failures;
-          Printf.printf "  %-34s %8.1f vs %8.1f ns/op  %5.2fx  %s\n" r.name r.ns_per_op b ratio flag)
+          Printf.printf "  %-34s %8.1f vs %8.1f ns/op  %5.2fx normalized  %s\n" r.name r.ns_per_op
+            b ratio flag)
     results;
   if !failures > 0 then begin
-    Printf.printf "%d kernel(s) regressed more than 2x vs %s\n" !failures baseline;
+    Printf.printf "%d kernel(s) regressed more than 2x vs %s (normalized)\n" !failures baseline;
     exit 1
   end
-  else Printf.printf "all kernels within 2x of %s\n" baseline
+  else Printf.printf "all kernels within 2x of %s (normalized)\n" baseline
 
 let run ~fast ~out ~check ~metrics_out =
   (* Timings measure the disabled-telemetry path — what production pays. *)
@@ -987,7 +982,7 @@ let run ~fast ~out ~check ~metrics_out =
   Printf.printf "\nwrote %s\n" out;
   Option.iter
     (fun baseline ->
-      check_against ~baseline results;
+      check_against ~fast ~baseline results;
       (* Scaling gate: on the direction-bound fixture the batched
          kernel must hold >= 2x draws/sec at K=16 over K=1, on top of
          the per-kernel 2x-slower gate above.  (The union fixture is

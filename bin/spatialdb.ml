@@ -19,6 +19,7 @@ module Flightrec = Scdb_log.Flightrec
 module Flight = Scdb_gis.Flight
 module Obs = Scdb_obs.Obs
 module Jm = Scdb_json.Json
+module Jo = Scdb_json.Json_out
 module FM = Scdb_qe.Fourier_motzkin
 module VE = Scdb_polytope.Volume_exact
 module GV = Scdb_polytope.Gridvol
@@ -76,9 +77,29 @@ let enable_stats ?stats_out stats =
             close_out oc)
   end
 
+(* Points, volumes and hull vertices go to stdout in one fixed-point
+   rule, [Json_out.add_fixed6] ([%.6f] byte for byte), one
+   tab-separated line each.  The stdout channel is the one buffer:
+   nothing flushes per line, and [exit] flushes it on every path out
+   (exit 0, exit 1, a normal return). *)
+let line = Buffer.create 64
+
+let print_point p =
+  Buffer.clear line;
+  Array.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char line '\t';
+      Jo.add_fixed6 line x)
+    p;
+  Buffer.add_char line '\n';
+  Buffer.output_buffer stdout line
+
+(* Points already streamed stay on stdout; flushing them before the
+   message keeps a terminal's order. *)
 let or_die = function
   | Ok v -> v
   | Error m ->
+      flush stdout;
       prerr_endline ("spatialdb: " ^ m);
       exit 1
 
@@ -306,19 +327,16 @@ let sample_cmd =
       Log.set_level Log.Warn
     end;
     let args = { Flight.vars = split_vars vars_s; formula; n; seed; eps; delta; method_; engine } in
+    (* Points stream to stdout as they are drawn; a recorded run
+       ([track]) also keeps them for the flight record. *)
     let track = record <> None || record_anomaly <> None in
-    let emit_points (outcome : Flight.outcome) =
-      List.iter
-        (fun p ->
-          print_endline
-            (String.concat "\t" (List.map (Printf.sprintf "%.6f") (Array.to_list p))))
-        outcome.Flight.points
-    in
     let outcome =
       if jobs = 1 && not live && status_out = None then
         (* The legacy single-run path: everything lands in the default
            context, exactly as before contexts existed. *)
-        or_die (Flight.run ~track ~progress ~ticker:progress ~overrun_factor ?profile_mode args)
+        or_die
+          (Flight.run ~track ~progress ~ticker:progress ~overrun_factor ?profile_mode
+             ~sink:print_point args)
       else begin
         (* Contexted path: each job runs the whole query in its own
            observability context (seed + job index), optionally on its
@@ -342,17 +360,23 @@ let sample_cmd =
         let job i =
           let c = ctxs.(i) in
           let a = { args with Flight.seed = seed + i } in
-          let r = Flight.run ~ctx:c ~track ~progress:true ~overrun_factor ?profile_mode a in
-          (match r with
-          | Ok oc ->
-              (* First-coordinate ESS estimate for the status view; the
-                 points are already drawn, so this costs one FFT-free
-                 autocorrelation pass. *)
-              let xs = Array.of_list (List.map (fun p -> p.(0)) oc.Flight.points) in
-              if Array.length xs >= 4 then Obs.Ctx.set_ess c (Scdb_diag.Diag.ess xs)
-          | Error _ -> ());
+          (* One job streams its points like the plain path; several
+             keep their streams to print them in job order.  Either way
+             the status view's ESS estimate needs only the first
+             coordinate, kept in a doubling array. *)
+          let xs = ref (Array.make 1024 0.0) and nx = ref 0 and kept = ref [] in
+          let sink p =
+            if !nx = Array.length !xs then xs := Array.append !xs !xs;
+            !xs.(!nx) <- p.(0);
+            incr nx;
+            if jobs = 1 then print_point p else kept := p :: !kept
+          in
+          let r = Flight.run ~ctx:c ~track ~progress:true ~overrun_factor ?profile_mode ~sink a in
+          (* One FFT-free autocorrelation pass over the drawn stream. *)
+          if Result.is_ok r && !nx >= 4 then
+            Obs.Ctx.set_ess c (Scdb_diag.Diag.ess (Array.sub !xs 0 !nx));
           Obs.Ctx.mark_done c;
-          r
+          Result.map (fun o -> (o, List.rev !kept)) r
         in
         let results =
           match jobs_mode with
@@ -366,13 +390,13 @@ let sample_cmd =
         Array.iter (fun c -> Obs.Ctx.merge ~into:Obs.Ctx.default c) ctxs;
         let outcomes = Array.map or_die results in
         if jobs > 1 then begin
-          Array.iter emit_points outcomes;
+          Array.iter (fun (_, points) -> List.iter print_point points) outcomes;
           exit 0
         end;
         (* jobs = 1: after the merge the default context holds exactly
            what an uncontexted run would have left behind, so the
            record/profile/diag tails below run unchanged. *)
-        outcomes.(0)
+        fst outcomes.(0)
       end
     in
     (match outcome.Flight.profile with
@@ -386,7 +410,6 @@ let sample_cmd =
         | None -> ())
     | None -> if progress then print_attribution ?program:outcome.Flight.program outcome.Flight.plan);
     let relation = outcome.Flight.relation and rng = outcome.Flight.rng in
-    emit_points outcome;
     (match record with
     | Some path -> Flightrec.write path (Flight.to_flightrec args outcome)
     | None -> ());
@@ -458,7 +481,21 @@ let sample_cmd =
     Arg.(value & opt (some string) None & info [ "status-out" ] ~docv:"FILE" ~doc)
   in
   let doc = "Draw almost uniform points from the relation (Definition 2.2 generator)." in
-  Cmd.v (Cmd.info "sample" ~doc)
+  let man =
+    [
+      `S "OUTPUT";
+      `P
+        "One point per line on stdout, coordinates tab-separated in $(b,%.6f) notation.  Points \
+         are written as they are drawn (with $(b,--jobs) > 1, each job's stream in job order \
+         once all jobs are done).";
+      `P
+        "If a draw fails for good partway (the generator failed on every retry), the points \
+         drawn before it stay on stdout, the error goes to stderr and the exit status is 1.  \
+         Treat the output of a failed run as a prefix of the stream, not as a sample of size \
+         $(b,-n).";
+    ]
+  in
+  Cmd.v (Cmd.info "sample" ~doc ~man)
     Term.(
       const run $ vars_arg $ formula_arg $ n_arg $ seed_arg $ eps_arg $ delta_arg $ method_arg
       $ engine_arg $ stats_arg $ stats_out_arg $ diag_arg $ chains_arg $ obs_term $ record_arg
@@ -504,14 +541,14 @@ let volume_cmd =
                   Scdb_progress.Progress.stop ();
                   print_attribution plan
                 end;
-                Printf.printf "%.6f\n" v
+                print_point [| v |]
             | exception Observable.Estimation_failed m ->
                 if progress then Scdb_progress.Progress.stop ();
                 or_die (Error m)))
     | m when String.length m > 5 && String.sub m 0 5 = "grid:" -> (
         let gamma = float_of_string (String.sub m 5 (String.length m - 5)) in
         match GV.build ~gamma relation with
-        | Some g -> Printf.printf "%.6f\n" (GV.volume g)
+        | Some g -> print_point [| GV.volume g |]
         | None -> or_die (Error "relation is empty or unbounded"))
     | m -> usage_die "mode" m [ "exact"; "sampling"; "grid:GAMMA" ]
   in
@@ -563,7 +600,7 @@ let reconstruct_cmd =
         let pts = Array.to_list (Scdb_hull.Hull_lp.points hull) in
         let polygon = H2.hull pts in
         Printf.printf "# piece %d: %d hull vertices\n" i (List.length polygon);
-        List.iter (fun v -> Printf.printf "%.6f\t%.6f\n" v.(0) v.(1)) polygon)
+        List.iter (fun v -> print_point [| v.(0); v.(1) |]) polygon)
       r.Reconstruct.hulls
   in
   let doc = "Approximate the 2-D shape of the relation as union of sample hulls (Algorithms 3-5)." in
@@ -802,7 +839,7 @@ let profile_cmd =
     let args =
       { Flight.vars = split_vars vars_s; formula; n; seed; eps; delta; method_; engine }
     in
-    let outcome = or_die (Flight.run ~profile_mode:mode args) in
+    let outcome = or_die (Flight.run ~profile_mode:mode ~sink:ignore args) in
     let plan = outcome.Flight.plan in
     let profile = Option.get outcome.Flight.profile in
     print_string (Scdb_profile.Profile.text_report ~plan ~top profile);

@@ -55,6 +55,19 @@ let observe p =
   let body = p.p_body in
   let transform = p.p_transform in
   let r_sup = p.p_r_sup in
+  (* The rejection box (2d float LPs) draws no rng, so it is solved
+     once per observed piece, on its first rejection draw; a piece that
+     is never sampled never pays for it.  Two domains racing here both
+     store the same box. *)
+  let box = ref None in
+  let bounding_box () =
+    match !box with
+    | Some b -> b
+    | None ->
+        let b = Polytope.bounding_box body in
+        box := Some b;
+        b
+  in
   let sample walk_rng params =
     let gamma = Params.gamma params and eps = Params.eps params in
     let steps =
@@ -85,7 +98,7 @@ let observe p =
           let fallback () =
             Hit_and_run.sample_polytope walk_rng body ~start:(Vec.create dim) ~steps
           in
-          match Polytope.bounding_box body with
+          match bounding_box () with
           | None -> fallback ()
           | Some (lo, hi) -> (
               match

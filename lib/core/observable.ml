@@ -40,6 +40,11 @@ let sample_exn t rng params =
   in
   go attempts
 
+let sample_iter t rng params ~n f =
+  for _ = 1 to n do
+    f (sample_exn t rng params)
+  done
+
 let sample_many t rng params ~n = List.init n (fun _ -> sample_exn t rng params)
 
 let with_cached_volume t =

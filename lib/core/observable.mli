@@ -57,9 +57,15 @@ val sample_exn : t -> Rng.t -> Params.t -> Vec.t
 (** Retry the generator up to [20·ln(1/δ)] times.
     @raise Estimation_failed when every attempt fails. *)
 
+val sample_iter : t -> Rng.t -> Params.t -> n:int -> (Vec.t -> unit) -> unit
+(** The draw loop: [n] successful draws (individual failures are
+    retried as in {!sample_exn}), each handed to the sink as soon as it
+    is drawn.  Nothing is retained.  When a draw fails for good, the
+    sink has seen every earlier point and {!Estimation_failed}
+    propagates. *)
+
 val sample_many : t -> Rng.t -> Params.t -> n:int -> Vec.t list
-(** [n] successful draws (individual failures are retried as in
-    {!sample_exn}). *)
+(** The draws of {!sample_iter}, collected into a list in draw order. *)
 
 val with_cached_volume : t -> t
 (** Memoize the volume estimator per (γ,ε,δ) triple.  The combinators call

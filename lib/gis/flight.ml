@@ -60,7 +60,7 @@ let parse_relation ~vars formula =
       parsed
   end
 
-let run_inner ~track ~progress ~ticker ?overrun_factor ?profile_mode a =
+let run_inner ~track ~progress ~ticker ?overrun_factor ?profile_mode ?sink a =
   let* sampler = sampler_of_method a.method_ in
   let* engine = check_engine a.engine in
   let* () =
@@ -88,7 +88,7 @@ let run_inner ~track ~progress ~ticker ?overrun_factor ?profile_mode a =
         | None -> Error "relation is empty, unbounded or lower-dimensional"
         | Some (plan, obs) ->
             let params = Params.make ~gamma ~eps:a.eps ~delta:a.delta () in
-            Ok (plan, None, None, fun () -> Observable.sample_many obs rng params ~n:a.n))
+            Ok (plan, None, None, Observable.sample_iter obs rng params ~n:a.n))
     | _ -> (
         let optimize = engine = "vm-opt" in
         match
@@ -100,14 +100,14 @@ let run_inner ~track ~progress ~ticker ?overrun_factor ?profile_mode a =
         | Some (plan, Ok prog) -> (
             match profile_mode with
             | None ->
-                Ok (plan, Some prog, None, fun () -> Scdb_vm.Vm.sample_many prog rng ~n:a.n)
+                Ok (plan, Some prog, None, Scdb_vm.Vm.sample_iter prog rng ~n:a.n)
             | Some mode ->
                 let pr = Scdb_profile.Profile.create ~mode prog in
                 Ok
                   ( plan,
                     Some prog,
                     Some pr,
-                    fun () -> Scdb_profile.Profile.sample_many pr rng ~n:a.n )))
+                    Scdb_profile.Profile.sample_iter pr rng ~n:a.n )))
   in
   let* plan, program, profile, draw = built in
   (* Profiled runs arm the bus even without --progress so the per-node
@@ -130,20 +130,32 @@ let run_inner ~track ~progress ~ticker ?overrun_factor ?profile_mode a =
         Log.float "eps" a.eps;
         Log.float "delta" a.delta;
       ];
-  match draw () with
-  | points ->
+  (* Points go to the sink as they are drawn; the list is kept only
+     for callers that read it afterwards: no sink, or a run that will
+     be recorded. *)
+  let kept = ref [] in
+  let emit =
+    match sink with
+    | None -> fun x -> kept := x :: !kept
+    | Some f when track ->
+        fun x ->
+          kept := x :: !kept;
+          f x
+    | Some f -> f
+  in
+  match draw emit with
+  | () ->
       finish_progress ();
       if Log.would_log Log.Info then
-        Log.info "sample.done"
-          [ Log.int "points" (List.length points); Log.int "draws" (Rng.draw_count rng) ];
-      Ok { points; relation; rng; plan; program; profile }
+        Log.info "sample.done" [ Log.int "points" a.n; Log.int "draws" (Rng.draw_count rng) ];
+      Ok { points = List.rev !kept; relation; rng; plan; program; profile }
   | exception Observable.Estimation_failed m ->
       finish_progress ();
       Error m
 
 let run ?ctx ?(track = false) ?(progress = false) ?(ticker = false) ?overrun_factor
-    ?profile_mode a =
-  let body () = run_inner ~track ~progress ~ticker ?overrun_factor ?profile_mode a in
+    ?profile_mode ?sink a =
+  let body () = run_inner ~track ~progress ~ticker ?overrun_factor ?profile_mode ?sink a in
   match ctx with
   | None -> body ()
   | Some c -> Scdb_obs.Obs.Ctx.run c body

@@ -38,7 +38,10 @@ val gamma : float
     must reproduce it exactly, so it lives here rather than in bin/. *)
 
 type outcome = {
-  points : Vec.t list;  (** the emitted sample stream, in order *)
+  points : Vec.t list;
+      (** the sample stream, in order, when it was retained: always
+          without a [sink], with a [sink] only under [~track:true]
+          (otherwise [[]]) *)
   relation : Relation.t;  (** the parsed (and quantifier-eliminated) relation *)
   rng : Rng.t;  (** the root generator, post-run (for follow-on work like [--diag]) *)
   plan : Scdb_plan.Plan.t;
@@ -59,6 +62,7 @@ val run :
   ?ticker:bool ->
   ?overrun_factor:float ->
   ?profile_mode:Scdb_profile.Profile.mode ->
+  ?sink:(Vec.t -> unit) ->
   args ->
   (outcome, string) result
 (** Parse, build the plan-tagged observable, draw [n] points.  With
@@ -78,7 +82,16 @@ val run :
     progress bus ticker-free, so the outcome carries both the profile
     and readable attribution.  None of these options perturb the RNG
     stream, so replay is unaffected.  Emits [sample.run] /
-    [sample.done] info events. *)
+    [sample.done] info events.
+
+    Each point goes to [sink] the moment it is drawn, so a caller can
+    stream [n] points in constant memory.  The point list in the
+    outcome is kept only when something reads it later: when no
+    [sink] is given (replay, in-process callers) or under
+    [~track:true] (the run is to be recorded, and {!to_flightrec}
+    needs the stream).  If a draw fails partway ([Error] from
+    {!Observable.Estimation_failed}), the sink has already seen the
+    points drawn before it. *)
 
 val to_flightrec : args -> outcome -> Scdb_log.Flightrec.t
 (** Snapshot a finished run as a [spatialdb-flightrec/1] record

@@ -20,5 +20,14 @@ val num : float -> string
     prints with [%.17g], which round-trips every double (subnormals
     included). *)
 
+val add_fixed6 : Buffer.t -> float -> unit
+(** Append [Printf.sprintf "%.6f" x], byte for byte, without going
+    through [Printf] when |x| < 2^53: the decimal is computed from the
+    double's mantissa and exponent in exact integer arithmetic, so it
+    is correctly rounded, ties to even.  [-0.0] and tiny negatives
+    print as [-0.000000].  NaN, ±inf and |x| >= 2^53 fall back to
+    [Printf].  Not a JSON number syntax: this is the CLI's fixed-point
+    rule for sample points, volumes and hull vertices. *)
+
 val to_string : Json.t -> string
 (** Compact one-line rendering, numbers through {!num}. *)

@@ -30,6 +30,10 @@ let sample_one t rng =
   t.draws <- t.draws + 1;
   Vm.sample_one ~prof:t.cells t.prog rng
 
+let sample_iter t rng ~n f =
+  t.draws <- t.draws + n;
+  Vm.sample_iter ~prof:t.cells t.prog rng ~n f
+
 let sample_many t rng ~n =
   t.draws <- t.draws + n;
   Vm.sample_many ~prof:t.cells t.prog rng ~n

@@ -40,6 +40,9 @@ val draws : t -> int
 val sample_one : t -> Rng.t -> Vec.t
 (** {!Scdb_vm.Vm.sample_one} with this profile's cells attached. *)
 
+val sample_iter : t -> Rng.t -> n:int -> (Vec.t -> unit) -> unit
+(** {!Scdb_vm.Vm.sample_iter} with this profile's cells attached. *)
+
 val sample_many : t -> Rng.t -> n:int -> Vec.t list
 
 (** {1 Folded views} *)

@@ -473,12 +473,12 @@ let sample_one ?prof t rng =
   Tel.Counter.incr tel_draws;
   v
 
-let sample_many ?prof t rng ~n =
-  let acc = ref [] in
+let sample_iter ?prof t rng ~n f =
   for _ = 1 to n do
-    acc := sample_one ?prof t rng :: !acc
-  done;
-  List.rev !acc
+    f (sample_one ?prof t rng)
+  done
+
+let sample_many ?prof t rng ~n = List.init n (fun _ -> sample_one ?prof t rng)
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -588,8 +588,8 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
         let kind =
           match (n.Plan.rewrite, cfg.Convex_obs.sampler) with
           | Plan.Rejection_box, _ | _, Convex_obs.Rejection_box -> (
-              (* The interpreter solves this LP on every draw; it is
-                 rng-free, so hoisting it to compile time is
+              (* The same rng-free LPs the interpreter solves on a
+                 piece's first rejection draw, solved at compile time:
                  stream-preserving. *)
               match Polytope.bounding_box p.Convex_obs.p_body with
               | None -> K_hr

@@ -72,8 +72,12 @@ val sample_one : ?prof:prof -> t -> Rng.t -> Vec.t
     @raise Observable.Estimation_failed like {!Observable.sample_exn}.
     [prof] fills profiling cells without changing the rng stream. *)
 
+val sample_iter : ?prof:prof -> t -> Rng.t -> n:int -> (Vec.t -> unit) -> unit
+(** The draw loop: [n] draws, each handed to the sink as it is drawn;
+    mirrors {!Observable.sample_iter}. *)
+
 val sample_many : ?prof:prof -> t -> Rng.t -> n:int -> Vec.t list
-(** [n] draws in order; mirrors {!Observable.sample_many}. *)
+(** The draws of {!sample_iter}, collected into a list in draw order. *)
 
 val mirror : t -> Observable.t
 (** The interpreted tree of the compiled plan

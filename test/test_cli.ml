@@ -174,6 +174,136 @@ let validate_tests =
         | _ -> assert false);
   ]
 
+(* ---------------- sample output ---------------- *)
+
+module Flight = Scdb_gis.Flight
+module Flightrec = Scdb_log.Flightrec
+
+(* Run the binary; return its exit code, stdout and stderr. *)
+let capture args =
+  let out = Filename.temp_file "spatialdb_stdout" ".txt"
+  and err = Filename.temp_file "spatialdb_stderr" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove out; Sys.remove err) @@ fun () ->
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote binary) args (Filename.quote out)
+         (Filename.quote err))
+  in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  (code, read out, read err)
+
+(* The reference rendering of a stream: Printf's %.6f, tab-separated,
+   one line per point. *)
+let render points =
+  String.concat ""
+    (List.map
+       (fun p -> String.concat "\t" (List.map (Printf.sprintf "%.6f") (Array.to_list p)) ^ "\n")
+       points)
+
+let fig1_union =
+  "(x >= 0 /\\ y >= 0 /\\ x + y <= 1) \\/ (x >= 2 /\\ x <= 3 /\\ y >= 0 /\\ y <= 1)"
+
+let flight ?(formula = fig1_union) ?(delta = 0.1) ~engine ~method_ ~seed n =
+  { Flight.vars = [ "x"; "y" ]; formula; n; seed; eps = 0.2; delta; method_; engine }
+
+let sample_args (a : Flight.args) =
+  Printf.sprintf "sample -v x,y -f %s -n %d --seed %d --delta %.17g --engine %s --method %s"
+    (Filename.quote a.Flight.formula) a.Flight.n a.Flight.seed a.Flight.delta a.Flight.engine
+    a.Flight.method_
+
+let stream (a : Flight.args) =
+  match Flight.run a with
+  | Ok o -> o.Flight.points
+  | Error m -> Alcotest.failf "Flight.run (%s/%s) failed: %s" a.Flight.engine a.Flight.method_ m
+
+let same_stdout name expected extra (a : Flight.args) =
+  let code, out, _ = capture (sample_args a ^ " " ^ extra) in
+  Alcotest.(check int) (name ^ ": exit") 0 code;
+  Alcotest.(check string) (name ^ ": stdout") expected out
+
+(* Eight nearly equal boxes: Karp–Luby accepts a trial with
+   probability ~1/8, and at delta 0.99 a draw gets 4 × 4 trials, so
+   seed 1 fails for good after a short prefix. *)
+let overlapping =
+  String.concat " \\/ "
+    (List.init 8 (fun i ->
+         Printf.sprintf "(x >= 0 /\\ x <= 1 /\\ y >= 0 /\\ y <= 1 + %d/1000)" (i + 1)))
+
+let fixture name =
+  Filename.concat (Filename.dirname Sys.executable_name) (Filename.concat "fixtures" name)
+
+let stream_tests =
+  [
+    t "sample stdout is the %.6f rendering of the stream, for every engine and method" (fun () ->
+        List.iter
+          (fun engine ->
+            List.iter
+              (fun method_ ->
+                let a = flight ~engine ~method_ ~seed:42 40 in
+                let name = engine ^ "/" ^ method_ in
+                let expected = render (stream a) in
+                same_stdout name expected "" a;
+                with_files [ ".json" ] @@ function
+                | [ rec_ ] -> (
+                    same_stdout (name ^ " --record") expected ("--record " ^ Filename.quote rec_) a;
+                    match Flightrec.read rec_ with
+                    | Ok r ->
+                        Alcotest.(check string) (name ^ ": record") expected
+                          (render r.Flightrec.samples)
+                    | Error m -> Alcotest.failf "%s: record unreadable: %s" name m)
+                | _ -> assert false)
+              [ "walk"; "grid"; "rejection" ])
+          Flight.engines);
+    t "--diag, --jobs 2 and --status-out print the same streams" (fun () ->
+        let a = flight ~engine:"interp" ~method_:"walk" ~seed:7 60 in
+        let first = render (stream a) in
+        let second = render (stream { a with Flight.seed = 8 }) in
+        same_stdout "--diag" first "--diag" a;
+        same_stdout "--jobs 2" (first ^ second) "--jobs 2" a;
+        same_stdout "--jobs 2 seq" (first ^ second) "--jobs 2 --jobs-mode seq" a;
+        with_files [ ".json" ] @@ function
+        | [ status ] ->
+            same_stdout "--status-out" first ("--status-out " ^ Filename.quote status) a
+        | _ -> assert false);
+    t "a draw failing midway leaves its prefix on stdout and exits 1" (fun () ->
+        List.iter
+          (fun engine ->
+            let a = flight ~formula:overlapping ~delta:0.99 ~engine ~method_:"walk" ~seed:1 100 in
+            let drawn = ref [] in
+            let msg =
+              match Flight.run ~sink:(fun p -> drawn := p :: !drawn) a with
+              | Ok _ -> Alcotest.failf "%s: the draw should fail" engine
+              | Error m -> m
+            in
+            let prefix = List.rev !drawn in
+            Alcotest.(check bool) (engine ^ ": a prefix was drawn") true (prefix <> []);
+            Alcotest.(check bool) (engine ^ ": short of n") true (List.length prefix < 100);
+            with_files [ ".json" ] @@ fun status ->
+            List.iter
+              (fun extra ->
+                let code, out, err = capture (sample_args a ^ extra) in
+                let name = engine ^ extra in
+                Alcotest.(check int) (name ^ ": exit") 1 code;
+                Alcotest.(check string) (name ^ ": stdout prefix") (render prefix) out;
+                Alcotest.(check string) (name ^ ": stderr") ("spatialdb: " ^ msg ^ "\n") err)
+              ("" :: List.map (fun f -> " --status-out " ^ Filename.quote f) status))
+          [ "interp"; "vm-opt" ]);
+    t "committed flight records replay through the CLI (recorded and cross engine)" (fun () ->
+        List.iter
+          (fun (file, engines) ->
+            List.iter
+              (fun engine ->
+                let extra = match engine with None -> "" | Some e -> " --engine " ^ e in
+                check (file ^ extra) 0 ("replay " ^ Filename.quote (fixture file) ^ extra))
+              engines)
+          [
+            ("union_k3.flightrec.json", [ None; Some "vm" ]);
+            ("incremental_k1.flightrec.json", [ None; Some "vm" ]);
+            ("fig1_rejection_interp.flightrec.json", [ None; Some "vm" ]);
+            ("union_dup_vmopt.flightrec.json", [ None ]);
+          ]);
+  ]
+
 let suites =
   [
     ("cli.success", success_tests);
@@ -182,4 +312,5 @@ let suites =
     ("cli.runtime", runtime_tests);
     ("cli.profile", profile_tests);
     ("cli.validate", validate_tests);
+    ("cli.stream", stream_tests);
   ]

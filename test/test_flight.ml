@@ -5,6 +5,7 @@
 module Flight = Scdb_gis.Flight
 module Flightrec = Scdb_log.Flightrec
 module Rng = Scdb_rng.Rng
+module Tel = Scdb_telemetry.Telemetry
 
 let t name f = Alcotest.test_case name `Quick f
 let ts name f = Alcotest.test_case name `Slow f
@@ -158,4 +159,43 @@ let tests =
             | Error m -> Alcotest.failf "fixture replay diverged: %s" m));
   ]
 
-let suites = [ ("gis.flight", tests) ]
+let fig1_union =
+  "(x >= 0 /\\ y >= 0 /\\ x + y <= 1) \\/ (x >= 2 /\\ x <= 3 /\\ y >= 0 /\\ y <= 1)"
+
+(* The interpreter's rejection box is solved once per piece instead of
+   on every draw.  The fixture was recorded by the per-draw code, so
+   replaying it shows the stream (and the rng draw totals) unchanged. *)
+let rejection_tests =
+  [
+    t "pre-hoist rejection record replays bit-exactly (interp and vm)" (fun () ->
+        let path =
+          Filename.concat
+            (Filename.dirname Sys.executable_name)
+            (Filename.concat "fixtures" "fig1_rejection_interp.flightrec.json")
+        in
+        match Flightrec.read path with
+        | Error m -> Alcotest.failf "fixture did not parse: %s" m
+        | Ok r ->
+            List.iter
+              (fun engine ->
+                match Flight.replay ~engine r with
+                | Ok n -> Alcotest.(check int) (engine ^ " samples reproduced") 100 n
+                | Error m -> Alcotest.failf "%s replay diverged: %s" engine m)
+              [ "interp"; "vm" ];
+            Rng.Provenance.set_tracking false);
+    t "interp rejection: simplex pivots do not grow with n" (fun () ->
+        let was = Tel.enabled () in
+        Tel.set_enabled true;
+        Fun.protect ~finally:(fun () -> Tel.reset (); Tel.set_enabled was) @@ fun () ->
+        let pivots n =
+          Tel.reset ();
+          ignore
+            (run_ok { args with Flight.formula = fig1_union; n; method_ = "rejection"; seed = 42 });
+          Option.value ~default:0 (Tel.counter_value "simplex.pivots")
+        in
+        let few = pivots 5 and many = pivots 500 in
+        Alcotest.(check bool) "some pivots (the box and the rounding)" true (few > 0);
+        Alcotest.(check int) "n = 500 pivots as many as n = 5" few many);
+  ]
+
+let suites = [ ("gis.flight", tests); ("gis.flight.rejection", rejection_tests) ]

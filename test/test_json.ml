@@ -377,9 +377,71 @@ let emitter_tests =
         is_null "diagnostics.rhat[0]" (nth 0 (member [ "diagnostics"; "rhat" ] doc)));
   ]
 
+(* ---------------- writer: %.6f ---------------- *)
+
+(* [Printf.sprintf "%.6f"] is the oracle.  Ties are x = odd/128 (the
+   only dyadic x with x·10^6 ending in exactly .5), so they and their
+   neighbours one ulp away are generated on purpose. *)
+let fixed6_gen =
+  QCheck.Gen.(
+    let signed g = map2 (fun neg v -> if neg then -.v else v) bool g in
+    let tie = map (fun i -> float_of_int ((2 * i) + 1) /. 128.0) in
+    oneof
+      [
+        map Int64.float_of_bits ui64;
+        signed (float_bound_inclusive 1e-6);
+        signed (float_bound_inclusive 1.0);
+        signed (float_bound_inclusive 1000.0);
+        signed (float_bound_inclusive 9.1e9);
+        signed (float_bound_inclusive 1e17);
+        signed (tie (0 -- 1_000_000));
+        signed (tie (int_bound (1 lsl 40)));
+        signed (map Float.succ (tie (int_bound (1 lsl 30))));
+        signed (map Float.pred (tie (int_bound (1 lsl 30))));
+        signed (map (fun b -> Int64.float_of_bits (Int64.of_int b)) (int_bound ((1 lsl 52) - 1)));
+        oneofl
+          [
+            0.0; -0.0; -1e-9; -4.9e-7; -5e-7; -5.000000000000001e-7; 5e-7; 0.0000005; 0.0078125;
+            -0.0078125; 0.5; 1.5; 0.9999995; 0.99999949999999994; 999999.9999995;
+            9007199254.740992; 9007199254.740993; 4503599627370495.5; 4503599627370496.0;
+            9007199254740991.0; 9007199254740992.0; 9007199254740993.0; 1e20; -1e300;
+            Float.max_float; Float.min_float; 4.9e-324; -4.9e-324; Float.nan; Float.infinity;
+            Float.neg_infinity;
+          ];
+      ])
+
+let fixed6 v =
+  let b = Buffer.create 16 in
+  Jo.add_fixed6 b v;
+  Buffer.contents b
+
+let fixed6_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:20000 ~name:"fixed6 equals Printf %.6f byte for byte"
+         (QCheck.make ~print:(Printf.sprintf "%h") fixed6_gen)
+         (fun v -> fixed6 v = Printf.sprintf "%.6f" v));
+    t "fixed6 on every tie k/128 below 2^10 and its neighbours" (fun () ->
+        for i = 0 to 1 lsl 17 do
+          let x = float_of_int i /. 128.0 in
+          List.iter
+            (fun v ->
+              let want = Printf.sprintf "%.6f" v in
+              if fixed6 v <> want then Alcotest.failf "%h: got %s, want %s" v (fixed6 v) want)
+            [ x; -.x; Float.succ x; Float.pred x ]
+        done);
+    t "add_fixed6 appends" (fun () ->
+        let b = Buffer.create 4 in
+        Jo.add_fixed6 b 1.0;
+        Buffer.add_char b '\t';
+        Jo.add_fixed6 b (-2.5e-7);
+        Alcotest.(check string) "line" "1.000000\t-0.000000" (Buffer.contents b));
+  ]
+
 let suites =
   [
     ("json.grammar", grammar_tests);
+    ("json.fixed6", fixed6_tests);
     ("json.roundtrip", roundtrip_tests);
     ("json.nonfinite", emitter_tests);
   ]
