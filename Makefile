@@ -83,6 +83,11 @@ ci: check
 	  --formula "x >= 0 and y >= 0 and x + y <= 1" --seed 42 -n 3 \
 	  --progress > /dev/null
 	dune exec bench/validate.exe -- plan _build/plan_smoke.json
+	dune exec bin/spatialdb.exe -- explain --vars x,y \
+	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
+	  --task volume --format json > _build/plan_union_volume.json
+	dune exec bench/validate.exe -- plan _build/plan_union_volume.json
+	grep -q '"op": "union", "dim": 2, "volume": "exact"' _build/plan_union_volume.json
 	dune exec bin/spatialdb.exe -- sample --vars x,y \
 	  --formula "x >= 0 and y >= 0 and x + y <= 1" --seed 42 -n 5 \
 	  --log-level debug --log-out _build/ci_log.jsonl \

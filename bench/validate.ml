@@ -27,9 +27,12 @@
             block passing every profile rule below with the same
             engine, and under vm-opt at least one row with rewrite tags.
    plan     parses through Plan.of_json (node-id contiguity, child
-            structure, attribute sanity), >= 1 node, total_work finite
+            structure, attribute sanity, "volume" on dfk and union
+            nodes exact|sampled), >= 1 node, total_work finite
             positive, every node budget finite non-negative, the root's
-            positive.
+            positive (both may be 0 for a volume task on an exact root);
+            an exact node predicts zero volume work, and an exact
+            union's children are all dfk leaves.
    profile  engine vm|vm-opt, mode counting|timing; one pcs row per
             instruction in strictly ascending pc order; counts are
             non-negative integers and ns finite non-negative (zero in
@@ -144,15 +147,31 @@ let check_plan doc =
   let module Plan = Scdb_plan.Plan in
   let plan = match Plan.of_json doc with Ok p -> p | Error m -> fail "plan: %s" m in
   if plan.Plan.node_count < 1 then fail "empty plan";
-  if not (Float.is_finite plan.Plan.total_work && plan.Plan.total_work > 0.0) then
+  (* One volume estimation of an exact root is predicted to cost nothing. *)
+  let free = plan.Plan.task = Plan.Volume && Plan.is_exact plan.Plan.root in
+  if not (Float.is_finite plan.Plan.total_work && (plan.Plan.total_work > 0.0 || free)) then
     fail "total_work %g is not finite positive" plan.Plan.total_work;
   Plan.iter_nodes
     (fun n ->
       let b = plan.Plan.budgets.(n.Plan.id) in
       if not (Float.is_finite b && b >= 0.0) then
-        fail "node %d budget %g is not finite non-negative" n.Plan.id b)
+        fail "node %d budget %g is not finite non-negative" n.Plan.id b;
+      (* The "volume" field of dfk and union nodes: an exact volume
+         predicts no work, and an exact union sits over dfk leaves. *)
+      if Plan.is_exact n then begin
+        if Plan.work n.Plan.per_volume <> 0.0 then
+          fail "node %d has an exact volume but predicts %g volume work" n.Plan.id
+            (Plan.work n.Plan.per_volume);
+        if
+          not
+            (List.for_all
+               (fun (c : Plan.node) -> match c.Plan.op with Plan.Dfk _ -> true | _ -> false)
+               n.Plan.children)
+        then fail "exact union %d has a child that is not a dfk leaf" n.Plan.id
+      end)
     plan;
-  if plan.Plan.budgets.(plan.Plan.root.Plan.id) <= 0.0 then fail "root budget is not positive";
+  if plan.Plan.budgets.(plan.Plan.root.Plan.id) <= 0.0 && not free then
+    fail "root budget is not positive";
   plan
 
 (* ---------------- profile ---------------- *)

@@ -520,10 +520,9 @@ let volume_cmd =
     let rng = Rng.create seed in
     match mode with
     | "exact" -> (
-        match VE.float_volume_relation relation with
-        | v -> Printf.printf "%.9f\n" v
-        | exception VE.Unbounded -> or_die (Error "relation is unbounded")
-        | exception Invalid_argument m -> or_die (Error m))
+        match VE.volume_relation_opt relation with
+        | Some v -> Printf.printf "%.9f\n" (Rational.to_float v)
+        | None -> or_die (Error "relation is unbounded or has more than 16 tuples"))
     | "sampling" -> (
         match
           Scdb_gis.Plan_exec.observable_of_relation ~gamma:Flight.gamma ~eps ~delta
@@ -645,16 +644,17 @@ let report_cmd =
     if not (List.mem format [ "json"; "trace"; "tree" ]) then
       usage_die "format" format [ "json"; "trace"; "tree" ];
     let vars = split_vars vars_s in
+    let module R = Scdb_gis.Report in
     let report =
       or_die
-        (Scdb_gis.Report.generate ~eps ~delta ~samples:n ~chains ~progress ~overrun_factor
-           ~engine ~vars ~formula ~seed ())
+        (R.execute ~eps ~delta ~samples:n ~chains ~progress ~overrun_factor ~engine ~vars
+           ~formula ~seed ())
     in
     let body =
       match format with
-      | "json" -> report.Scdb_gis.Report.json
-      | "trace" -> report.Scdb_gis.Report.chrome_trace ^ "\n"
-      | _ -> report.Scdb_gis.Report.text_tree
+      | "json" -> R.render report R.Json
+      | "trace" -> R.render report R.Trace ^ "\n"
+      | _ -> R.render report R.Tree
     in
     (match out with
     | None -> print_string body
@@ -666,7 +666,7 @@ let report_cmd =
     | None -> ()
     | Some file ->
         let oc = open_out file in
-        output_string oc report.Scdb_gis.Report.chrome_trace;
+        output_string oc (R.render report R.Trace);
         output_char oc '\n';
         close_out oc
   in
@@ -980,39 +980,30 @@ let status_cmd =
 (* ---------------- plan ---------------- *)
 
 let plan_cmd =
-  let run vars_s formula eps delta =
-    let vars = split_vars vars_s in
-    (* Wrap the bare formula as a single-relation database so the
-       planner's cost model applies. *)
-    match Parser.parse ~vars formula with
-    | exception Parser.Parse_error m -> or_die (Error ("parse error: " ^ m))
-    | f ->
-        let module Gis = Scdb_gis in
-        let free_dim = List.length vars in
-        let qf = if Formula.is_quantifier_free f then f else f in
-        let schema = Gis.Schema.of_list [ ("Q", free_dim) ] in
-        let inst =
-          match Formula.is_quantifier_free qf with
-          | true -> Gis.Instance.set (Gis.Instance.create schema) "Q" (Relation.of_formula ~dim:free_dim qf)
-          | false ->
-              Gis.Instance.set (Gis.Instance.create schema) "Q"
-                (Relation.of_formula ~dim:free_dim (Scdb_qe.Fourier_motzkin.eliminate qf))
-        in
-        let query = Gis.Query.rel "Q" (List.init free_dim Fun.id) in
-        let est = Gis.Planner.plan ~eps ~delta inst ~free_dim query in
-        let strategy =
-          match est.Gis.Planner.strategy with
-          | Gis.Planner.Use_exact -> "exact (symbolic QE + Lasserre volume)"
-          | Gis.Planner.Use_grid g -> Printf.sprintf "grid (gamma = %g)" g
-          | Gis.Planner.Use_sampling { eps; delta } ->
-              Printf.sprintf "sampling (eps = %g, delta = %g)" eps delta
-        in
-        Printf.printf "strategy      : %s\n" strategy;
-        Printf.printf "predicted cost: %.3g work units\n" est.Gis.Planner.predicted_cost;
-        Printf.printf "reason        : %s\n" est.Gis.Planner.reason
+  let run vars_s formula seed eps delta =
+    let module Plan = Scdb_plan.Plan in
+    let _, relation = or_die (parse_relation vars_s formula) in
+    match
+      Scdb_gis.Plan_build.of_relation ~gamma:Flight.gamma ~eps ~delta ~task:Plan.Volume
+        (Rng.create seed) relation
+    with
+    | None -> or_die (Error "relation is empty, unbounded or lower-dimensional")
+    | Some (plan, _) ->
+        let root = plan.Plan.root in
+        Printf.printf "root          : %s over %d tuple(s), dim %d\n" (Plan.op_name root.Plan.op)
+          (Stdlib.max 1 (List.length root.Plan.children))
+          root.Plan.dim;
+        Printf.printf "volume        : %s\n"
+          (if Plan.is_exact root then "exact (Lasserre + inclusion-exclusion)"
+           else Printf.sprintf "sampled (eps = %g, delta = %g)" eps delta);
+        Printf.printf "predicted work: %.3g walk steps + trials\n" plan.Plan.total_work
   in
-  let doc = "Show which evaluation strategy the cost model would choose for the formula." in
-  Cmd.v (Cmd.info "plan" ~doc) Term.(const run $ vars_arg $ formula_arg $ eps_arg $ delta_arg)
+  let doc =
+    "Show the cost model's volume decision for the (quantifier-eliminated) formula: whether the \
+     plan's root computes its volume exactly or samples it, and its predicted work."
+  in
+  Cmd.v (Cmd.info "plan" ~doc)
+    Term.(const run $ vars_arg $ formula_arg $ seed_arg $ eps_arg $ delta_arg)
 
 (* ---------------- explain ---------------- *)
 

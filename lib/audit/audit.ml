@@ -88,11 +88,7 @@ let clopper_pearson ?(confidence = 0.95) ~hits ~runs () =
 
 (* ---------------- oracles ---------------- *)
 
-let exact_truth ?(max_tuples = 16) relation =
-  match VE.volume_relation ~max_tuples relation with
-  | v -> Some v
-  | exception VE.Unbounded -> None
-  | exception Invalid_argument _ -> None
+let exact_truth = VE.volume_relation_opt
 
 let estimate_once ?exact_when_cheap ~config ~gamma ~eps ~delta relation s =
   let rng = Rng.create s in

@@ -50,7 +50,8 @@ val clopper_pearson : ?confidence:float -> hits:int -> runs:int -> unit -> float
 (** {1 Oracles} *)
 
 val exact_truth : ?max_tuples:int -> Relation.t -> Rational.t option
-(** Exact ground truth via {!Scdb_polytope.Volume_exact}: Lasserre's
+(** Exact ground truth: {!Scdb_polytope.Volume_exact.volume_relation_opt},
+    the same function the runtime's exact plan nodes call — Lasserre's
     recursion per tuple, inclusion–exclusion across tuples.  [None]
     when the relation is unbounded or has more than [max_tuples]
     (default 16) tuples — the [2^t] closed-form blowup guard. *)

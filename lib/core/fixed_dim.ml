@@ -39,4 +39,4 @@ let observable ?(max_cells = 2_000_000) r =
              ~sample ~volume ())
   end
 
-let exact_volume r = Volume_exact.volume_relation r
+let exact_volume r = Volume_exact.volume_relation_opt r

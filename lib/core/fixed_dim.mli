@@ -17,7 +17,8 @@ val observable : ?max_cells:int -> Relation.t -> Observable.t option
     exceeding it raises [Invalid_argument] — that blowup in growing
     dimension is the point of Section 3's fixed-dimension hypothesis. *)
 
-val exact_volume : Relation.t -> Rational.t
+val exact_volume : Relation.t -> Rational.t option
 (** The exact polynomial-time fixed-dimension volume (Lemma 3.1's role,
-    implemented by the Lasserre recursion + inclusion–exclusion).
-    @raise Scdb_polytope.Volume_exact.Unbounded on unbounded input. *)
+    implemented by the Lasserre recursion + inclusion–exclusion):
+    {!Scdb_polytope.Volume_exact.volume_relation_opt}, [None] on
+    unbounded input or past its 16-tuple guard. *)

@@ -84,20 +84,23 @@ let tag id (obs : Observable.t) =
         Progress.with_node id (fun () -> obs.Observable.volume rng ~gamma ~eps ~delta));
   }
 
-(* Theorem 3.1 (R2): the Lasserre volume of the leaf's tuple, computed
-   on first use and reused for every (γ,ε,δ).  It draws nothing, so no
-   executor's rng stream depends on when it runs. *)
-let with_exact_volume (p : Convex_obs.prepared) (o : Observable.t) =
-  let tuple =
-    match Option.map Relation.tuples p.Convex_obs.p_relation with
-    | Some [ tuple ] -> tuple
-    | _ -> invalid_arg "Plan_obs: an exact leaf needs its piece's one-tuple relation"
+(* Theorem 3.1 (R2): the exact volume of the node's relation (a leaf's
+   one tuple, or inclusion–exclusion over a union's leaf tuples),
+   computed on first use and reused for every (γ,ε,δ).  It draws
+   nothing, so no executor's rng stream depends on when it runs. *)
+let with_exact_volume (o : Observable.t) =
+  let r =
+    match o.Observable.relation with
+    | Some r -> r
+    | None -> invalid_arg "Plan_obs: an exact node needs its relation"
   in
   let v =
     lazy
       ( Trace.span "volume.exact" @@ fun () ->
         Tel.Counter.incr tel_exact;
-        Rational.to_float (Volume_exact.volume_tuple ~dim:p.Convex_obs.p_dim tuple) )
+        match Volume_exact.volume_relation_opt r with
+        | Some q -> Rational.to_float q
+        | None -> raise (Observable.Estimation_failed "no exact volume: unbounded or too many tuples") )
   in
   { o with Observable.volume = (fun _ ~gamma:_ ~eps:_ ~delta:_ -> Lazy.force v) }
 
@@ -119,7 +122,7 @@ let observables (plan : Plan.t) pieces =
             else p
           in
           let o = Convex_obs.observe p in
-          let o = if Plan.is_exact_leaf n then with_exact_volume p o else o in
+          let o = if Plan.is_exact n then with_exact_volume o else o in
           if Hashtbl.mem shared n.Plan.id then begin
             (* Its sharers read the weight this leaf estimates. *)
             let o = Observable.with_cached_volume o in
@@ -127,7 +130,9 @@ let observables (plan : Plan.t) pieces =
             o
           end
           else o
-      | Plan.Union_op _, _ -> Union.union (List.map build n.Plan.children)
+      | Plan.Union_op _, _ ->
+          let o = Union.union (List.map build n.Plan.children) in
+          if Plan.is_exact n then with_exact_volume o else o
       | Plan.Inter_op { poly_degree; _ }, _ ->
           Inter.inter ~poly_degree (List.map build n.Plan.children)
       | Plan.Diff_op { poly_degree; _ }, _ -> (

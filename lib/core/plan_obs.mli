@@ -33,13 +33,14 @@ val observables : Scdb_plan.Plan.t -> Convex_obs.prepared array -> Observable.t 
     guard leaves observe their piece — under the [Rejection_box]
     sampler when so rewritten; a [Shared] leaf reuses the earlier
     leaf's observable, whose volume is cached, so it costs no draws.
-    An exact dfk leaf ({!Scdb_plan.Plan.is_exact_leaf}) answers every
-    volume call with the Lasserre volume of its piece's tuple
-    ({!Scdb_polytope.Volume_exact.volume_tuple}), computed once on
-    first use (counted by the [volume.exact] telemetry counter) and
-    drawing no rng values; its sampler is unchanged.
     Unions, intersections and differences build {!Union}, {!Inter} and
-    {!Diff}.
+    {!Diff}.  An exact dfk leaf or union ({!Scdb_plan.Plan.is_exact})
+    answers every volume call with the exact volume of its relation —
+    the leaf's tuple, or the union's leaf tuples by inclusion–exclusion
+    ({!Scdb_polytope.Volume_exact.volume_relation_opt}) — computed once
+    on first use (counted by the [volume.exact] telemetry counter) and
+    drawing no rng values; an exact union calls no child volume, and
+    every sampler is unchanged.
     @raise Invalid_argument on grid, projection and boosting nodes, on
-    an exact leaf whose piece has no one-tuple relation, or on a piece
-    count mismatch. *)
+    an exact node whose observable has no relation, or on a piece count
+    mismatch. *)

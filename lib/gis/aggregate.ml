@@ -9,10 +9,9 @@ type mode =
 let relation_volume rng ?config mode r =
   match mode with
   | Exact -> (
-      match Volume_exact.float_volume_relation ~max_tuples:16 r with
-      | v -> Ok v
-      | exception Volume_exact.Unbounded -> Error "unbounded query result"
-      | exception Invalid_argument m -> Error m)
+      match Volume_exact.volume_relation_opt r with
+      | Some v -> Ok (Rational.to_float v)
+      | None -> Error "unbounded query result, or more than 16 tuples")
   | Grid gamma -> (
       match Gridvol.build ~gamma r with
       | Some g -> Ok (Gridvol.volume g)

@@ -18,8 +18,8 @@ let leaf_node ?(config = Convex_obs.practical_config) ?(exact_when_cheap = true)
     ~constraints:(List.length tuple)
     ?volume_budget:(volume_budget_of config) ~exact_when_cheap ()
 
-let of_relation ?(config = Convex_obs.practical_config) ?exact_when_cheap ~gamma ~eps ~delta
-    ~task rng r =
+let of_relation ?(config = Convex_obs.practical_config) ?(exact_when_cheap = true) ~gamma ~eps
+    ~delta ~task rng r =
   let dim = Relation.dim r in
   let pieces =
     List.filter_map
@@ -32,16 +32,16 @@ let of_relation ?(config = Convex_obs.practical_config) ?exact_when_cheap ~gamma
   let root =
     match pieces with
     | [] -> None
-    | [ (tuple, _) ] -> Some (leaf_node ~config ?exact_when_cheap ~eps ~delta ~dim tuple)
+    | [ (tuple, _) ] -> Some (leaf_node ~config ~exact_when_cheap ~eps ~delta ~dim tuple)
     | many ->
         (* Children are costed at the sub-call parameters the union
            threads down: ε/3 generators, δ/(4m) setup volumes. *)
         let m = List.length many in
         let sub_eps = eps /. 3.0 and sub_delta = delta /. float_of_int (4 * m) in
         let leaf (tuple, _) =
-          leaf_node ~config ?exact_when_cheap ~eps:sub_eps ~delta:sub_delta ~dim tuple
+          leaf_node ~config ~exact_when_cheap ~eps:sub_eps ~delta:sub_delta ~dim tuple
         in
-        Some (Plan.union_ ~eps ~delta (List.map leaf many))
+        Some (Plan.union_ ~exact_when_cheap ~eps ~delta (List.map leaf many))
   in
   Option.map
     (fun root ->

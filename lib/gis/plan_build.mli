@@ -3,8 +3,9 @@
     Every generalized tuple that survives well-rounding becomes a DFK
     leaf (costed for the configured sampler and volume budget, its
     volume exact when {!Scdb_plan.Cost.exact_volume_pays}), and
-    multi-tuple relations get a Karp–Luby union root whose children are
-    costed at the sub-call parameters the runtime threads down (ε/3,
+    multi-tuple relations get a Karp–Luby union root (its volume exact
+    when {!Scdb_plan.Cost.exact_union_pays}) whose children are costed
+    at the sub-call parameters the runtime threads down (ε/3,
     δ/(4m)).  Nothing is sampled: the rounding preprocessing is the
     only rng consumer. *)
 
@@ -44,5 +45,7 @@ val of_relation :
     root, and the tree is finalized for [task].  Returns the plan with
     its pieces in preorder leaf order — what {!Scdb_core.Plan_obs} and
     {!Scdb_vm.Vm.compile} consume — so plan ids and runtime attribution
-    agree by construction.  [None] when no tuple yields a piece (empty,
-    unbounded or lower-dimensional). *)
+    agree by construction.  [exact_when_cheap] (default [true]) is
+    passed to every leaf and to the union, so the cost model may make
+    any of their volumes exact.  [None] when no tuple yields a piece
+    (empty, unbounded or lower-dimensional). *)

@@ -82,10 +82,10 @@ let budget_attribution plan (attr : attribution_row array) =
         | Some a -> (a.predicted, a.actual, a.ratio)
         | None -> (Float.nan, Float.nan, Float.nan)
       in
-      (* An exact leaf volume cannot fail: its whole grant is slack. *)
+      (* An exact volume cannot fail: its whole grant is slack. *)
       let exact =
         match Plan.find_node plan g.Scdb_plan.Plan.g_id with
-        | Some n -> Plan.is_exact_leaf n
+        | Some n -> Plan.is_exact n
         | None -> false
       in
       let achieved =

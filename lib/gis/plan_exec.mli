@@ -20,8 +20,8 @@ val observable_of_relation :
   Rng.t ->
   Relation.t ->
   (Scdb_plan.Plan.t * Observable.t) option
-(** {!Plan_build.of_relation} (exact leaf volumes when cheap unless
-    [exact_when_cheap] is [false]), then the interpreted root of
+(** {!Plan_build.of_relation} (exact leaf and union volumes when cheap
+    unless [exact_when_cheap] is [false]), then the interpreted root of
     {!Scdb_core.Plan_obs.observables}. *)
 
 val compiled_of_relation :
@@ -79,7 +79,8 @@ type budget_row = {
   b_delta_achieved : float;
       (** the δ the node's spent work actually buys at its granted ε,
           via {!Scdb_plan.Cost.delta_at_work_ratio}; [nan] when it
-          never ran; [0] for an exact leaf, whose volume cannot fail *)
+          never ran; [0] for an exact leaf or union, whose volume
+          cannot fail *)
   b_slack : float;  (** [b_delta − b_delta_achieved]; negative = overdrawn *)
 }
 (** One node of the error-budget attribution: the (ε,δ) sub-contract
@@ -89,7 +90,7 @@ type budget_row = {
 val budget_attribution : Scdb_plan.Plan.t -> attribution_row array -> budget_row array
 (** Join grants with runtime actuals, in node-id order — the audit
     block of [spatialdb report] and the [error_budget] section of
-    [spatialdb audit] documents.  An exact leaf keeps its whole grant
+    [spatialdb audit] documents.  An exact leaf or union keeps its whole grant
     as slack; the grant itself is unchanged. *)
 
 val budget_attribution_json : budget_row array -> string

@@ -2,8 +2,6 @@ module Tel = Scdb_telemetry.Telemetry
 module Trace = Scdb_trace.Trace
 module Polytope = Scdb_polytope.Polytope
 
-type t = { json : string; chrome_trace : string; text_tree : string }
-
 module Jo = Scdb_json.Json_out
 
 let schema = "spatialdb-report/5"
@@ -29,7 +27,8 @@ type parts = {
 (* An embedded document, re-indented to sit one level deep. *)
 let embed doc = String.concat "\n  " (String.split_on_char '\n' (String.trim doc))
 
-let to_json ~chrome p =
+let to_json ~chrome ?(span_count = Trace.count ())
+    ?(telemetry = Tel.dump ~only_nonzero:true ()) p =
   let buf = Buffer.create 8192 in
   let add = Buffer.add_string buf in
   let str s = "\"" ^ Jo.escape s ^ "\"" in
@@ -73,14 +72,24 @@ let to_json ~chrome p =
   let block = function Some doc -> embed doc | None -> "null" in
   add ("  \"diagnostics\": " ^ block (Option.map Diag_run.to_json p.diagnostics) ^ ",\n");
   add ("  \"profile\": " ^ block p.profile ^ ",\n");
-  add (Printf.sprintf "  \"span_count\": %d,\n" (Trace.count ()));
-  add ("  \"telemetry\": " ^ embed (Tel.dump ~only_nonzero:true ()) ^ ",\n");
+  add (Printf.sprintf "  \"span_count\": %d,\n" span_count);
+  add ("  \"telemetry\": " ^ embed telemetry ^ ",\n");
   add "  \"trace\": ";
   add chrome;
   add "\n}\n";
   Buffer.contents buf
 
-let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
+type format = Json | Trace | Tree
+
+(* Each rendering is built from the run's snapshot on first demand. *)
+type run = { json : string Lazy.t; chrome_trace : string Lazy.t; text_tree : string Lazy.t }
+
+let render r = function
+  | Json -> Lazy.force r.json
+  | Trace -> Lazy.force r.chrome_trace
+  | Tree -> Lazy.force r.text_tree
+
+let execute ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
     ?(chains = Diag_run.default_chains)
     ?(samples_per_chain = Diag_run.default_samples_per_chain) ?(progress = false)
     ?overrun_factor ?(engine = "interp") ~vars ~formula ~seed () =
@@ -205,16 +214,30 @@ let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
                   profile = profile_json;
                 })
     in
-    (* Export after the root span closes so every duration is final. *)
+    (* Snapshot after the root span closes so every duration is final;
+       the renderings read only the snapshot. *)
     let out =
       Result.map
         (fun parts ->
-          let chrome = Trace.to_chrome_json () in
-          let json = to_json ~chrome parts in
-          { json; chrome_trace = chrome; text_tree = Trace.to_text_tree () })
+          let spans = Trace.spans () in
+          let span_count = List.length spans in
+          let telemetry = Tel.dump ~only_nonzero:true () in
+          let chrome_trace = lazy (Trace.to_chrome_json ~spans ()) in
+          {
+            chrome_trace;
+            json = lazy (to_json ~chrome:(Lazy.force chrome_trace) ~span_count ~telemetry parts);
+            text_tree = lazy (Trace.to_text_tree ~spans ());
+          })
         result
     in
     Tel.set_enabled tel_was;
     Trace.set_enabled trace_was;
     out
   end
+
+type t = { json : string; chrome_trace : string }
+
+let generate ?eps ?delta ?samples ?engine ~vars ~formula ~seed () =
+  Result.map
+    (fun r -> { json = render r Json; chrome_trace = render r Trace })
+    (execute ?eps ?delta ?samples ?engine ~vars ~formula ~seed ())

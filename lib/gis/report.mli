@@ -28,13 +28,16 @@
 val schema : string
 (** ["spatialdb-report/5"]. *)
 
-type t = {
-  json : string;  (** the {!schema} document *)
-  chrome_trace : string;  (** raw Chrome trace-event JSON *)
-  text_tree : string;  (** indented text rendering of the spans *)
-}
+type run
+(** A finished report run: what it computed, plus a snapshot of the
+    spans and telemetry it recorded. *)
 
-val generate :
+type format =
+  | Json  (** the {!schema} document *)
+  | Trace  (** raw Chrome trace-event JSON *)
+  | Tree  (** indented text rendering of the spans *)
+
+val execute :
   ?eps:float ->
   ?delta:float ->
   ?samples:int ->
@@ -47,7 +50,7 @@ val generate :
   formula:string ->
   seed:int ->
   unit ->
-  (t, string) result
+  (run, string) result
 (** Defaults: [eps = 0.2], [delta = 0.1], [samples = 10],
     [chains = Diag_run.default_chains],
     [samples_per_chain = Diag_run.default_samples_per_chain].
@@ -59,6 +62,26 @@ val generate :
     the report's ["profile"] key, with rewrite tags on the
     attribution rows.
     [Error reason] on parse errors or empty/unbounded relations. *)
+
+val render : run -> format -> string
+(** One rendering of the run, built from its snapshot on first demand
+    and kept: a run that is printed as one format never pays for the
+    others (the JSON document embeds the Chrome trace). *)
+
+type t = { json : string; chrome_trace : string }
+
+val generate :
+  ?eps:float ->
+  ?delta:float ->
+  ?samples:int ->
+  ?engine:string ->
+  vars:string list ->
+  formula:string ->
+  seed:int ->
+  unit ->
+  (t, string) result
+(** {!execute} with the default chains, no ticker and the default
+    watchdog, then {!render} its [Json] and [Trace] formats. *)
 
 (** {1 The document} *)
 
@@ -81,8 +104,7 @@ type parts = {
 }
 (** What {!generate} computed, before it is written out. *)
 
-val to_json : chrome:string -> parts -> string
-(** The {!schema} document {!generate} returns, written straight into
-    one buffer, with [chrome] as its trace.  The span count and the
-    telemetry snapshot are read from the ambient trace and telemetry
-    state. *)
+val to_json : chrome:string -> ?span_count:int -> ?telemetry:string -> parts -> string
+(** The {!schema} document of a run, written straight into one buffer,
+    with [chrome] as its trace.  [span_count] and the [telemetry]
+    snapshot default to the ambient trace and telemetry state. *)

@@ -84,3 +84,16 @@ let lasserre_work ~dim ~constraints =
 
 let exact_volume_pays ~dim ~constraints ~sampled_work =
   constraints > 0 && lasserre_work ~dim ~constraints <= sampled_work
+
+(* Volume_exact's inclusion–exclusion guard. *)
+let max_exact_tuples = 16
+
+let exact_union_pays ~dim ~constraints ~sampled_work =
+  let m = List.length constraints in
+  m >= 1 && m <= max_exact_tuples
+  && List.for_all (fun k -> k > 0) constraints
+  &&
+  (* The unpruned worst case: one recursion per non-empty subset, over
+     its members' summed constraints. *)
+  let sums = List.fold_left (fun sums k -> sums @ List.map (( + ) k) (0 :: sums)) [] constraints in
+  List.fold_left (fun acc k -> acc +. lasserre_work ~dim ~constraints:k) 0.0 sums <= sampled_work

@@ -27,7 +27,7 @@ type op =
       exact : bool;
     }
   | Grid_leaf of { cells : float }
-  | Union_op of { trials : int; volume_trials : int }
+  | Union_op of { trials : int; volume_trials : int; exact : bool }
   | Inter_op of { poly_degree : int; budget : int; volume_trials : int }
   | Diff_op of { poly_degree : int; budget : int; volume_trials : int }
   | Project_op of { keep : int; trials : int; pilot : int; volume_trials : int }
@@ -51,8 +51,10 @@ let rewrite_tag = function
   | Rejection_box -> Some "rejection_box_substituted"
   | Shared _ -> Some "shared_union_leaf"
 
-let is_exact_leaf n = match n.op with Dfk { exact; _ } -> exact | _ -> false
-let leaf_volume_name exact = if exact then "exact" else "sampled"
+let is_exact n =
+  match n.op with Dfk { exact; _ } | Union_op { exact; _ } -> exact | _ -> false
+
+let volume_name exact = if exact then "exact" else "sampled"
 
 let op_name = function
   | Dfk _ -> "dfk"
@@ -105,10 +107,10 @@ let exclusive op ~dim ~m =
          building it scans every candidate cell once (a membership test
          per cell), amortized over the run. *)
       ({ zero with draws = 1.0 }, { zero with mems = cells })
-  | Union_op { trials; volume_trials } ->
+  | Union_op { trials; volume_trials; exact } ->
       let t = f trials and n = f volume_trials in
       ( { draws = t; mems = t *. f m; steps = 0.0; trials = t },
-        { draws = n; mems = n *. f m; steps = 0.0; trials = n } )
+        if exact then zero else { draws = n; mems = n *. f m; steps = 0.0; trials = n } )
   | Inter_op { budget; volume_trials; _ } ->
       let b = f budget and n = f volume_trials in
       ( { draws = 0.0; mems = b *. f m; steps = 0.0; trials = b },
@@ -159,7 +161,7 @@ let grid_leaf ~dim ~cells =
   let per_sample, per_volume = exclusive op ~dim ~m:0 in
   node op ~dim per_sample per_volume []
 
-let union_ ~eps ~delta children =
+let union_ ?(exact_when_cheap = false) ~eps ~delta children =
   if children = [] then invalid_arg "Plan.union_: empty list";
   let m = List.length children in
   let dim = (List.hd children).dim in
@@ -168,14 +170,26 @@ let union_ ~eps ~delta children =
     Cost.samples_for_ratio ~eps:(eps /. 3.0) ~delta:(delta /. 4.0)
       ~p_lower:(1.0 /. float_of_int m)
   in
-  let op = Union_op { trials; volume_trials } in
-  let excl_s, excl_v = exclusive op ~dim ~m in
   let sum_ps = sum_children (fun c -> c.per_sample) children in
   let sum_pv = sum_children (fun c -> c.per_volume) children in
   let t = float_of_int trials and n = float_of_int volume_trials in
   let fm = float_of_int m in
+  (* The acceptance loop: [volume_trials] child generator calls. *)
+  let acceptance = scale_units (n /. fm) sum_ps in
+  let leaf_constraints =
+    List.filter_map (fun c -> match c.op with Dfk { constraints; _ } -> Some constraints | _ -> None)
+      children
+  in
+  let exact =
+    exact_when_cheap
+    && List.length leaf_constraints = m
+    && Cost.exact_union_pays ~dim ~constraints:leaf_constraints
+         ~sampled_work:(work acceptance +. n)
+  in
+  let op = Union_op { trials; volume_trials; exact } in
+  let excl_s, excl_v = exclusive op ~dim ~m in
   let per_sample = add_units excl_s (scale_units (t /. fm) sum_ps) in
-  let per_volume = add_units excl_v (add_units (scale_units (n /. fm) sum_ps) sum_pv) in
+  let per_volume = if exact then zero else add_units excl_v (add_units acceptance sum_pv) in
   node op ~dim per_sample per_volume children
 
 let cap_adaptive n = Stdlib.min n 200_000
@@ -278,9 +292,14 @@ let child_demands op ~m ~s ~v children =
   let fm = float_of_int (Stdlib.max 1 m) in
   match op with
   | Dfk _ | Grid_leaf _ | Guard -> []
-  | Union_op { trials; volume_trials } ->
+  | Union_op { trials; volume_trials; exact = false } ->
       let calls = ((float_of_int trials *. s) +. (float_of_int volume_trials *. v)) /. fm in
       List.map (fun c -> (c, calls, once)) children
+  | Union_op { trials; exact = true; _ } ->
+      (* An exact volume calls no child: only the sample path draws
+         from the children and reads their weights. *)
+      let calls = float_of_int trials *. s /. fm in
+      List.map (fun c -> (c, calls, if s > 0.0 then 1.0 else 0.0)) children
   | Inter_op { budget; volume_trials; _ } ->
       let calls = ((float_of_int budget *. s) +. (float_of_int volume_trials *. v)) /. fm in
       List.map (fun c -> (c, calls, once)) children
@@ -402,7 +421,7 @@ let attrs_of_op op =
         ("constraints", float_of_int constraints);
       ]
   | Grid_leaf { cells } -> [ ("cells", cells) ]
-  | Union_op { trials; volume_trials } ->
+  | Union_op { trials; volume_trials; _ } ->
       [ ("trials", float_of_int trials); ("volume_trials", float_of_int volume_trials) ]
   | Inter_op { poly_degree; budget; volume_trials }
   | Diff_op { poly_degree; budget; volume_trials } ->
@@ -442,7 +461,8 @@ let to_json t =
     | Dfk { method_; exact; _ } ->
         add
           (Printf.sprintf " \"method\": \"%s\", \"volume\": \"%s\"," method_
-             (leaf_volume_name exact))
+             (volume_name exact))
+    | Union_op { exact; _ } -> add (Printf.sprintf " \"volume\": \"%s\"," (volume_name exact))
     | _ -> ());
     add " \"attrs\": {";
     add
@@ -520,6 +540,15 @@ let of_json doc =
       budgets.(id) <- num "budget" o;
       let attrs = get "attrs" o in
       let a name = inum name attrs in
+      let exact () =
+        match J.member "volume" o with
+        | None -> false
+        | Some v -> (
+            match J.to_string v with
+            | Some "exact" -> true
+            | Some "sampled" -> false
+            | _ -> raise (Bad "volume is neither \"exact\" nor \"sampled\""))
+      in
       let op =
         match str "op" o with
         | "dfk" ->
@@ -530,17 +559,11 @@ let of_json doc =
                 phases = a "phases";
                 samples_per_phase = a "samples_per_phase";
                 constraints = a "constraints";
-                exact =
-                  (match J.member "volume" o with
-                  | None -> false
-                  | Some v -> (
-                      match J.to_string v with
-                      | Some "exact" -> true
-                      | Some "sampled" -> false
-                      | _ -> raise (Bad "volume is neither \"exact\" nor \"sampled\"")));
+                exact = exact ();
               }
         | "grid" -> Grid_leaf { cells = num "cells" attrs }
-        | "union" -> Union_op { trials = a "trials"; volume_trials = a "volume_trials" }
+        | "union" ->
+            Union_op { trials = a "trials"; volume_trials = a "volume_trials"; exact = exact () }
         | "inter" ->
             Inter_op
               { poly_degree = a "poly_degree"; budget = a "budget"; volume_trials = a "volume_trials" }
@@ -609,7 +632,8 @@ let to_text_tree t =
     in
     let meth =
       match n.op with
-      | Dfk { method_; exact; _ } -> " method=" ^ method_ ^ " volume=" ^ leaf_volume_name exact
+      | Dfk { method_; exact; _ } -> " method=" ^ method_ ^ " volume=" ^ volume_name exact
+      | Union_op { exact; _ } -> " volume=" ^ volume_name exact
       | _ -> ""
     in
     Buffer.add_string buf

@@ -46,8 +46,12 @@ type op =
           probability). *)
   | Grid_leaf of { cells : float }
       (** Fixed-dimension γ-grid decomposition (Theorem 3.1). *)
-  | Union_op of { trials : int; volume_trials : int }
-      (** Karp–Luby union (Theorem 4.1). *)
+  | Union_op of { trials : int; volume_trials : int; exact : bool }
+      (** Karp–Luby union (Theorem 4.1): the generator always, and
+          either the acceptance-loop volume estimate ([exact = false])
+          or the exact inclusion–exclusion volume of its leaves' tuples
+          ([exact = true]: no trials, no draws, no failure
+          probability). *)
   | Inter_op of { poly_degree : int; budget : int; volume_trials : int }
       (** Rejection intersection (Proposition 4.1). *)
   | Diff_op of { poly_degree : int; budget : int; volume_trials : int }
@@ -84,8 +88,8 @@ val rewrite_tag : rewrite -> string option
 (** Provenance tag of a rewrite: ["rejection_box_substituted"] or
     ["shared_union_leaf"]; [None] for [Kept]. *)
 
-val is_exact_leaf : node -> bool
-(** A dfk leaf whose volume is computed exactly. *)
+val is_exact : node -> bool
+(** A dfk leaf or a union whose volume is computed exactly. *)
 
 val op_name : op -> string
 (** ["dfk"], ["grid"], ["union"], ["inter"], ["diff"], ["project"],
@@ -128,8 +132,14 @@ val dfk :
 
 val grid_leaf : dim:int -> cells:float -> node
 
-val union_ : eps:float -> delta:float -> node list -> node
-(** @raise Invalid_argument on an empty list. *)
+val union_ : ?exact_when_cheap:bool -> eps:float -> delta:float -> node list -> node
+(** With [exact_when_cheap] (default [false]) the union's volume is
+    exact when every child is a dfk leaf and
+    {!Cost.exact_union_pays} finds inclusion–exclusion over the
+    leaves' constraint counts no dearer than the acceptance loop's
+    [volume_trials] child generator calls; an exact union's
+    [per_volume] is zero, and a volume task then calls no child.
+    @raise Invalid_argument on an empty list. *)
 
 val inter_ : ?poly_degree:int -> eps:float -> delta:float -> node list -> node
 val diff_ : ?poly_degree:int -> eps:float -> delta:float -> node -> node -> node
@@ -190,8 +200,8 @@ val schema : string
 val to_json : t -> string
 (** The {!schema} document: parameters, task, total work and the node
     tree with per-node estimates, attributes and budgets; a dfk node
-    carries its ["method"] and its leaf ["volume"] ("exact" or
-    "sampled", read as "sampled" when absent).  A non-finite
+    carries its ["method"], and a dfk or union node its ["volume"]
+    ("exact" or "sampled", read as "sampled" when absent).  A non-finite
     number is written as [null] ({!Scdb_json.Json_out}). *)
 
 val of_json : Scdb_json.Json.t -> (t, string) result

@@ -146,21 +146,37 @@ let volume_tuple ~dim tuple =
   let a, b = tuple_system ~dim tuple in
   volume_system ~dim a b
 
+(* Inclusion–exclusion over the non-empty subsets of tuples, in
+   increasing mask order.  The intersection of a superset is contained
+   in that of each of its subsets, so once an intersection has volume
+   zero (empty, or only touching) every superset is zero too and is
+   skipped: a subset is zero when some subset one tuple smaller is.  A
+   disjoint union then costs its t tuple volumes and the pairwise
+   checks, not 2^t − 1 recursions. *)
 let volume_relation ?(max_tuples = 16) r =
   let tuples = Array.of_list (Relation.tuples r) in
   let t = Array.length tuples in
   if t > max_tuples then invalid_arg "Volume_exact.volume_relation: too many tuples";
   let dim = Relation.dim r in
-  (* Inclusion–exclusion over all non-empty subsets. *)
+  let zero = Array.make (1 lsl t) false in
   let total = ref Q.zero in
   for mask = 1 to (1 lsl t) - 1 do
     let members = List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init t Fun.id) in
-    let conj = List.concat_map (fun i -> tuples.(i)) members in
-    let v = volume_tuple ~dim conj in
-    let sign = if List.length members mod 2 = 1 then Q.one else Q.minus_one in
-    total := Q.add !total (Q.mul sign v)
+    if List.exists (fun i -> zero.(mask lxor (1 lsl i))) members then zero.(mask) <- true
+    else begin
+      let v = volume_tuple ~dim (List.concat_map (fun i -> tuples.(i)) members) in
+      if Q.is_zero v then zero.(mask) <- true
+      else if List.length members mod 2 = 1 then total := Q.add !total v
+      else total := Q.sub !total v
+    end
   done;
   !total
+
+let volume_relation_opt ?max_tuples r =
+  match volume_relation ?max_tuples r with
+  | v -> Some v
+  | exception Unbounded -> None
+  | exception Invalid_argument _ -> None
 
 let float_volume_tuple ~dim tuple = Q.to_float (volume_tuple ~dim tuple)
 let float_volume_relation ?max_tuples r = Q.to_float (volume_relation ?max_tuples r)

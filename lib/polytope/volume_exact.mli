@@ -21,10 +21,18 @@ val volume_tuple : dim:int -> Dnf.tuple -> Rational.t
 
 val volume_relation : ?max_tuples:int -> Relation.t -> Rational.t
 (** Volume of a finite union of tuples, by inclusion–exclusion over the
-    (possibly overlapping) tuples.  Cost is [2^t] exact volume calls for
-    [t] tuples; [max_tuples] (default 16) guards the blowup.
+    (possibly overlapping) tuples.  Every superset of an intersection of
+    volume zero is skipped (its intersection lies inside a null set), so
+    a disjoint or touching union costs its [t] tuple volumes plus the
+    pairwise checks; the worst case is [2^t − 1] exact volume calls, and
+    [max_tuples] (default 16) guards that blowup.
     @raise Invalid_argument if the relation has more tuples than that.
     @raise Unbounded if some non-empty intersection is unbounded. *)
+
+val volume_relation_opt : ?max_tuples:int -> Relation.t -> Rational.t option
+(** {!volume_relation}, or [None] when the relation is unbounded or has
+    more than [max_tuples] tuples: the one exact-volume entry point of
+    runtime, audit, aggregates and [spatialdb volume --mode exact]. *)
 
 val float_volume_tuple : dim:int -> Dnf.tuple -> float
 val float_volume_relation : ?max_tuples:int -> Relation.t -> float

@@ -269,7 +269,7 @@ let to_chrome_json ?(spans = spans ()) () =
   Buffer.add_string buf "\n]}";
   Buffer.contents buf
 
-let to_text_tree () =
+let to_text_tree ?(spans = spans ()) () =
   let buf = Buffer.create 1024 in
   List.iter
     (fun v ->
@@ -278,5 +278,5 @@ let to_text_tree () =
       Buffer.add_string buf (Printf.sprintf "%-48s %10.3f ms" label (v.v_dur_us /. 1e3));
       List.iter (fun (k, value) -> Buffer.add_string buf (Printf.sprintf "  %s=%s" k value)) v.v_attrs;
       Buffer.add_char buf '\n')
-    (spans ());
+    spans;
   Buffer.contents buf

@@ -125,5 +125,6 @@ val to_chrome_json : ?spans:view list -> unit -> string
     [spans] (default {!val:spans}).  Timestamps keep three decimals; a
     non-finite one is written as [null] ({!Scdb_json.Json_out}). *)
 
-val to_text_tree : unit -> string
-(** Indented per-span text rendering with durations in milliseconds. *)
+val to_text_tree : ?spans:view list -> unit -> string
+(** Indented per-span text rendering of [spans] (default
+    {!val:spans}), durations in milliseconds. *)

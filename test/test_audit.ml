@@ -323,6 +323,20 @@ let run_tests =
                 ~requested:"auto" a
         in
         Alcotest.(check string) "byte-identical" (doc ()) (doc ()));
+    ts "a sampled-leaf relation still passes its audit" (fun () ->
+        (* Any fault-injection flag keeps every volume sampled; the
+           default walk schedule at d = 2 (60 steps) starves nothing.
+           A box rounds to one DFK phase, which keeps 40 runs cheap. *)
+        let box = Relation.box [| q 0; q 0 |] [| q 2; q 1 |] in
+        match A.run ~walk_steps:60 ~eps:0.2 ~delta:0.1 ~runs:40 ~seed:42 box with
+        | Error e -> Alcotest.failf "audit failed to run: %s" e
+        | Ok a ->
+            Alcotest.(check bool)
+              (Printf.sprintf "coverage %.2f passes" a.A.cov.A.coverage)
+              true
+              (a.A.cov.A.verdict = A.Pass);
+            Alcotest.(check bool) "the leaf's delta is spent" true
+              (a.A.budget.(0).A.b_delta_achieved > 0.0));
     ts "corrupting the estimator budget fails the audited contract" (fun () ->
         (* A twentieth of the practical per-phase budget: same plan,
            same oracle, but the estimator can no longer honor the

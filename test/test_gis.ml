@@ -304,40 +304,72 @@ let svg_tests =
   ]
 
 
+(* The Cost rule for a relation's volume, at the CLI's ε = 0.2, δ = 0.1
+   and practical per-phase budget: one tuple prices Lasserre against
+   its DFK estimate, several tuples price inclusion–exclusion against
+   the union's acceptance loop. *)
+let volume_pays r =
+  let module Cost = Scdb_plan.Cost in
+  let dim = Relation.dim r in
+  let steps = float_of_int (Cost.hit_and_run_steps ~dim) in
+  match List.map List.length (Relation.tuples r) with
+  | [ c ] ->
+      let phases = Cost.volume_phases ~dim () in
+      Cost.exact_volume_pays ~dim ~constraints:c
+        ~sampled_work:(float_of_int (phases * 2000) *. steps)
+  | cs ->
+      let trials =
+        Cost.samples_for_ratio ~eps:(0.2 /. 3.0) ~delta:(0.1 /. 4.0)
+          ~p_lower:(1.0 /. float_of_int (List.length cs))
+      in
+      Cost.exact_union_pays ~dim ~constraints:cs ~sampled_work:(float_of_int trials *. steps)
+
 let planner_tests =
   [
     t "low-dimension quantifier-free query plans exact" (fun () ->
-        let query = Query.parse ~schema:schema2 ~vars:[ "x"; "y" ] "R(x, y)" in
-        let est = Planner.plan inst2 ~free_dim:2 query in
-        Alcotest.(check bool) "exact" true (est.Planner.strategy = Planner.Use_exact));
-    t "many quantified variables plan sampling" (fun () ->
-        (* build exists-heavy query programmatically: exists 5 vars over R plus constraints *)
-        let body =
-          Query.conj
-            (Query.rel "R" [ 0; 1 ]
-            :: List.init 5 (fun i ->
-                   Query.constr (Atom.le (Term.var (2 + i)) (Term.var 0))))
+        let plans text =
+          volume_pays
+            (Eval.symbolic inst2 ~free_dim:2 (Query.parse ~schema:schema2 ~vars:[ "x"; "y" ] text))
         in
-        let query = Query.exists [ 2; 3; 4; 5; 6 ] body in
-        let est = Planner.plan inst2 ~free_dim:2 query in
-        (match est.Planner.strategy with
-        | Planner.Use_sampling _ -> ()
-        | Planner.Use_exact -> Alcotest.fail "expected sampling, got exact"
-        | Planner.Use_grid _ -> Alcotest.fail "expected sampling, got grid"));
+        Alcotest.(check bool) "R" true (plans "R(x, y)");
+        Alcotest.(check bool) "R or S" true (plans "R(x, y) \\/ S(x, y)"));
+    t "high dimension plans sampling" (fun () ->
+        let cube = Relation.unit_cube 8 in
+        let shifted = Relation.box (Array.make 8 (q 2)) (Array.make 8 (q 3)) in
+        Alcotest.(check bool) "8-D cube" false (volume_pays cube);
+        Alcotest.(check bool) "8-D union" false (volume_pays (Relation.union cube shifted)));
     t "cost model monotone in quantifiers" (fun () ->
+        (* ∃z. R(x,y) ∧ x ≤ z ∧ z ≤ y + 3/2 eliminates to R plus x ≤ y + 3/2. *)
         let base = Query.rel "R" [ 0; 1 ] in
-        let q1 = Query.exists [ 2 ] (Query.conj [ base; Query.constr (Atom.le (Term.var 2) (Term.var 0)) ]) in
-        let c0 = Planner.cost_exact inst2 ~free_dim:2 base in
-        let c1 = Planner.cost_exact inst2 ~free_dim:2 q1 in
-        Alcotest.(check bool) "monotone" true (c1 > c0));
-    ts "run executes the chosen plan" (fun () ->
+        let q1 =
+          Query.exists [ 2 ]
+            (Query.conj
+               [
+                 base;
+                 Query.constr (Atom.le (Term.var 0) (Term.var 2));
+                 Query.constr
+                   (Atom.le (Term.var 2) (Term.add (Term.var 1) (Term.const (Q.of_ints 3 2))));
+               ])
+        in
+        let work query =
+          match Relation.tuples (Eval.symbolic inst2 ~free_dim:2 query) with
+          | [ tuple ] -> Scdb_plan.Cost.lasserre_work ~dim:2 ~constraints:(List.length tuple)
+          | _ -> Alcotest.fail "expected one tuple"
+        in
+        Alcotest.(check bool) "monotone" true (work q1 > work base));
+    t "run executes the chosen plan" (fun () ->
         let rng = Rng.create 70 in
         let query = Query.parse ~schema:schema2 ~vars:[ "x"; "y" ] "R(x, y) /\\ S(x, y)" in
-        match Planner.run rng inst2 ~free_dim:2 query with
-        | Ok (v, est) ->
-            Alcotest.(check bool) ("cost " ^ est.Planner.reason) true (est.Planner.predicted_cost > 0.0);
-            Alcotest.(check bool) "value near 1" true (Float.abs (v -. 1.0) < 0.25)
-        | Error e -> Alcotest.fail e);
+        let r = Eval.symbolic inst2 ~free_dim:2 query in
+        match
+          Plan_exec.observable_of_relation ~gamma:0.05 ~eps:0.2 ~delta:0.1
+            ~task:Scdb_plan.Plan.Volume rng r
+        with
+        | None -> Alcotest.fail "R and S should plan"
+        | Some (plan, obs) ->
+            Alcotest.(check bool) "exact" true (Scdb_plan.Plan.is_exact plan.Scdb_plan.Plan.root);
+            let v = Scdb_core.Observable.volume obs rng ~eps:0.2 ~delta:0.1 in
+            Alcotest.(check (float 0.0)) "value 1" 1.0 v);
   ]
 
 

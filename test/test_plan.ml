@@ -257,8 +257,8 @@ let exact_tests =
         Alcotest.(check int) "5-D constraints" 11 (List.length (tuple_of b5));
         Alcotest.(check int) "8-D constraints" 17 (List.length (tuple_of b8));
         let l5 = leaf_of ~dim:5 b5 and l8 = leaf_of ~dim:8 b8 in
-        Alcotest.(check bool) "5-D exact" true (Plan.is_exact_leaf l5);
-        Alcotest.(check bool) "8-D sampled" false (Plan.is_exact_leaf l8);
+        Alcotest.(check bool) "5-D exact" true (Plan.is_exact l5);
+        Alcotest.(check bool) "8-D sampled" false (Plan.is_exact l8);
         (* An exact leaf predicts no volume work; a sampled one its walk. *)
         Alcotest.(check (float 0.0)) "exact per_volume" 0.0 (Plan.work l5.Plan.per_volume);
         Alcotest.(check bool) "sampled per_volume" true (Plan.work l8.Plan.per_volume > 0.0);
@@ -267,7 +267,7 @@ let exact_tests =
         Alcotest.(check bool) "json says sampled" true (has "\"volume\": \"sampled\"" (json l8));
         (* The same leaves without the cost model keep their DFK estimate. *)
         let off = Plan_build.leaf_node ~exact_when_cheap:false ~eps:0.2 ~delta:0.1 ~dim:5 (tuple_of b5) in
-        Alcotest.(check bool) "opt-out stays sampled" false (Plan.is_exact_leaf off));
+        Alcotest.(check bool) "opt-out stays sampled" false (Plan.is_exact off));
     t "the gate compares Lasserre work with the DFK walk" (fun () ->
         (* Falling factorial 11·10·9·8·7 at half a step plus 10 LPs at
            11·5 steps each. *)
@@ -286,7 +286,7 @@ let exact_tests =
         | Error e -> Alcotest.failf "round trip: %s" e
         | Ok q ->
             Alcotest.(check (list bool)) "decisions" [ true; false ]
-              (List.map Plan.is_exact_leaf q.Plan.root.Plan.children));
+              (List.map Plan.is_exact q.Plan.root.Plan.children));
     t "an exact leaf's whole delta grant is slack" (fun () ->
         let rng = Rng.create 3 in
         let triangle =
@@ -321,7 +321,7 @@ let exact_tests =
           | None -> Alcotest.fail "body should plan"
           | Some (plan, obs) ->
               Alcotest.(check bool) "leaf decision" exact_when_cheap
-                (Plan.is_exact_leaf plan.Plan.root);
+                (Plan.is_exact plan.Plan.root);
               let t0 = Scdb_telemetry.Telemetry.Clock.now () in
               let v = Observable.volume obs rng ~eps:0.2 ~delta:0.1 in
               (v, Scdb_telemetry.Telemetry.Clock.now () -. t0)
@@ -336,9 +336,129 @@ let exact_tests =
           true (t_exact < t_dfk));
   ]
 
+(* ---------------- exact or sampled union volumes ---------------- *)
+
+module VE = Scdb_polytope.Volume_exact
+module Tel = Scdb_telemetry.Telemetry
+
+let relation ~vars formula =
+  Relation.of_formula ~dim:(List.length vars) (Scdb_constr.Parser.parse ~vars formula)
+
+let xy = relation ~vars:[ "x"; "y" ]
+
+let fig1 = "(x >= 0 /\\ y >= 0 /\\ x + y <= 1) \\/ (x >= 2 /\\ x <= 3 /\\ y >= 0 /\\ y <= 1)"
+
+let volume_plan ?exact_when_cheap ?(seed = 1) r =
+  let rng = Rng.create seed in
+  match
+    Plan_exec.observable_of_relation ?exact_when_cheap ~gamma:0.05 ~eps:0.2 ~delta:0.1
+      ~task:Plan.Volume rng r
+  with
+  | Some (plan, obs) -> (plan, obs, rng)
+  | None -> Alcotest.fail "relation should plan"
+
+let counter name = Option.value ~default:0 (Tel.counter_value name)
+
+let with_telemetry f =
+  let was = Tel.enabled () in
+  Tel.set_enabled true;
+  Tel.reset ();
+  Fun.protect ~finally:(fun () -> Tel.set_enabled was) f
+
+let union_tests =
+  [
+    t "cost rule: the Fig. 1 union and a 3-D 2-piece union plan exact" (fun () ->
+        let boxes3 =
+          relation ~vars:[ "x"; "y"; "z" ]
+            "(0 <= x /\\ x <= 1 /\\ 0 <= y /\\ y <= 1 /\\ 0 <= z /\\ z <= 1) \\/ \
+             (1/2 <= x /\\ x <= 2 /\\ 0 <= y /\\ y <= 1 /\\ 0 <= z /\\ z <= 2)"
+        in
+        List.iter
+          (fun (name, r) ->
+            let plan, _, _ = volume_plan r in
+            let root = plan.Plan.root in
+            Alcotest.(check string) (name ^ " root") "union" (Plan.op_name root.Plan.op);
+            Alcotest.(check bool) (name ^ " exact") true (Plan.is_exact root);
+            Alcotest.(check (float 0.0)) (name ^ " per_volume") 0.0 (Plan.work root.Plan.per_volume);
+            Alcotest.(check (float 0.0)) (name ^ " volume-task work") 0.0 plan.Plan.total_work;
+            Alcotest.(check bool) (name ^ " tree") true
+              (has "union #0 dim=" (Plan.to_text_tree plan) && has " volume=exact [" (Plan.to_text_tree plan));
+            match Plan.of_json (J.parse (Plan.to_json plan)) with
+            | Error e -> Alcotest.failf "round trip: %s" e
+            | Ok q -> Alcotest.(check bool) (name ^ " json") true (Plan.is_exact q.Plan.root))
+          [ ("Fig. 1", xy fig1); ("3-D", boxes3) ];
+        (* Predicted on the Cost side directly: 3 and 4 constraints. *)
+        Alcotest.(check bool) "Cost rule" true
+          (Cost.exact_union_pays ~dim:2 ~constraints:[ 3; 4 ] ~sampled_work:(5916.0 *. 60.0)));
+    t "cost rule: a d = 8 union and a union past the tuple guard stay sampled" (fun () ->
+        let b8 = leaf_of ~dim:8 (body 8) in
+        let u8 = Plan.union_ ~exact_when_cheap:true ~eps:0.2 ~delta:0.1 [ b8; b8 ] in
+        Alcotest.(check bool) "d = 8" false (Plan.is_exact u8);
+        Alcotest.(check bool) "d = 8 predicts its acceptance loop" true
+          (Plan.work u8.Plan.per_volume > 0.0);
+        let cheap () = leaf_of ~dim:2 (xy "x >= 0 /\\ y >= 0 /\\ x + y <= 1") in
+        let many = Plan.union_ ~exact_when_cheap:true ~eps:0.2 ~delta:0.1 (List.init 17 (fun _ -> cheap ())) in
+        Alcotest.(check bool) "17 tuples" false (Plan.is_exact many);
+        Alcotest.(check bool) "17 tuples at any price" false
+          (Cost.exact_union_pays ~dim:2 ~constraints:(List.init 17 (fun _ -> 3))
+             ~sampled_work:Float.infinity);
+        Alcotest.(check bool) "16 tuples at any price" true
+          (Cost.exact_union_pays ~dim:2 ~constraints:(List.init 16 (fun _ -> 3))
+             ~sampled_work:Float.infinity);
+        Alcotest.(check bool) "unknown size" false
+          (Cost.exact_union_pays ~dim:2 ~constraints:[ 3; 0 ] ~sampled_work:Float.infinity);
+        let pair () = [ cheap (); cheap () ] in
+        Alcotest.(check bool) "opt-out" false
+          (Plan.is_exact (Plan.union_ ~exact_when_cheap:false ~eps:0.2 ~delta:0.1 (pair ())));
+        Alcotest.(check bool) "default is sampled" false
+          (Plan.is_exact (Plan.union_ ~eps:0.2 ~delta:0.1 (pair ())));
+        Alcotest.(check bool) "a grid child" false
+          (Plan.is_exact
+             (Plan.union_ ~exact_when_cheap:true ~eps:0.2 ~delta:0.1
+                [ cheap (); Plan.grid_leaf ~dim:2 ~cells:100.0 ])));
+    t "exact union volume is Volume_exact's and draws nothing" (fun () ->
+        List.iter
+          (fun (name, formula) ->
+            let r = xy formula in
+            let plan, obs, rng = volume_plan r in
+            Alcotest.(check bool) (name ^ " exact") true (Plan.is_exact plan.Plan.root);
+            let before = Rng.copy rng and draws = Rng.draw_count rng in
+            let v = Observable.volume obs rng ~eps:0.2 ~delta:0.1 in
+            Alcotest.(check (float 0.0)) name (Rational.to_float (VE.volume_relation r)) v;
+            Alcotest.(check int) (name ^ ": no draws") draws (Rng.draw_count rng);
+            Alcotest.(check (float 0.0)) (name ^ ": rng state") (Rng.float before) (Rng.float rng))
+          [
+            ("disjoint", fig1);
+            ("overlapping", "(0 <= x /\\ x <= 2 /\\ 0 <= y /\\ y <= 1) \\/ (1 <= x /\\ x <= 3 /\\ 0 <= y /\\ y <= 2)");
+            ( "duplicate tuples",
+              "(x > 0 /\\ y > 0 /\\ x + y < 1) \\/ (x >= 0 /\\ y >= 0 /\\ x + y <= 1) \\/ (2 <= x /\\ x <= 3 /\\ 0 <= y /\\ y <= 1)" );
+            ("touching", "(0 <= x /\\ x <= 1 /\\ 0 <= y /\\ y <= 1) \\/ (1 <= x /\\ x <= 2 /\\ 0 <= y /\\ y <= 1)");
+          ]);
+    ts "interp, vm and vm-opt reports give the same exact volume" (fun () ->
+        List.iter
+          (fun engine ->
+            match Scdb_gis.Report.generate ~engine ~samples:20 ~vars:[ "x"; "y" ] ~formula:fig1 ~seed:5 () with
+            | Error e -> Alcotest.failf "%s report: %s" engine e
+            | Ok r ->
+                let volume = J.member "volume" (J.parse r.Scdb_gis.Report.json) in
+                Alcotest.(check (option (float 0.0))) engine (Some 1.5) (Option.bind volume J.to_float);
+                Alcotest.(check int) (engine ^ ": acceptance trials") 0 (counter "union.volume.trials"))
+          [ "interp"; "vm"; "vm-opt" ]);
+    ts "a sampled union keeps its Karp-Luby acceptance loop" (fun () ->
+        with_telemetry @@ fun () ->
+        let plan, obs, rng = volume_plan ~exact_when_cheap:false ~seed:7 (xy fig1) in
+        Alcotest.(check bool) "sampled" false (Plan.is_exact plan.Plan.root);
+        let draws = Rng.draw_count rng in
+        let v = Observable.volume obs rng ~eps:0.2 ~delta:0.1 in
+        Alcotest.(check bool) (Printf.sprintf "%g within eps of 1.5" v) true (Float.abs (v -. 1.5) <= 0.3);
+        Alcotest.(check bool) "acceptance trials ran" true (counter "union.volume.trials" > 0);
+        Alcotest.(check bool) "draws" true (Rng.draw_count rng > draws));
+  ]
+
 let suites =
   [
     ("plan.exact_leaves", exact_tests);
+    ("plan.exact_unions", union_tests);
     ("plan.budget_equality", equality_tests);
     ("plan.monotonicity", monotonicity_tests);
     ("plan.json", json_tests);

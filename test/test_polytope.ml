@@ -117,6 +117,25 @@ let exact_volume_tests =
           Parser.parse_relation ~vars:[ "x" ] "0 <= x /\\ x <= 1 /\\ x <= 1 /\\ 2*x <= 2"
         in
         Alcotest.(check string) "still 1" "1" (Q.to_string (VE.volume_relation r)));
+    t "null intersections prune their supersets" (fun () ->
+        (* 16 squares in a row, each touching the next: every pairwise
+           intersection is a segment or empty, so only the 16 squares
+           and 120 pairs are measured, not 2^16 - 1 subsets. *)
+        let square i = Relation.box [| q i; q 0 |] [| q (i + 1); q 1 |] in
+        let row = List.fold_left (fun acc i -> Relation.union acc (square i)) (square 0) (List.init 15 succ) in
+        Alcotest.(check string) "touching row" "16" (Q.to_string (VE.volume_relation row));
+        (* Overlapping neighbours [i, i+2]: triple intersections are points. *)
+        let seg i = Relation.box [| q i |] [| q (i + 2) |] in
+        let chain = List.fold_left (fun acc i -> Relation.union acc (seg i)) (seg 0) (List.init 9 succ) in
+        Alcotest.(check string) "overlapping chain" "11" (Q.to_string (VE.volume_relation chain)));
+    t "the option wrapper maps unbounded and oversized relations to None" (fun () ->
+        let slab i = Relation.box [| q i |] [| q (i + 1) |] in
+        let many = List.fold_left (fun acc i -> Relation.union acc (slab i)) (slab 0) (List.init 20 Fun.id) in
+        Alcotest.(check bool) "oversized" true (VE.volume_relation_opt many = None);
+        Alcotest.(check bool) "unbounded" true
+          (VE.volume_relation_opt (Relation.halfspace ~dim:2 (Term.var 0)) = None);
+        Alcotest.(check (option string)) "bounded" (Some "1")
+          (Option.map Q.to_string (VE.volume_relation_opt (slab 3))));
     t "too many tuples guarded" (fun () ->
         let slab i = Relation.box [| q i |] [| q (i + 1) |] in
         let r = List.fold_left (fun acc i -> Relation.union acc (slab i)) (slab 0) (List.init 20 Fun.id) in

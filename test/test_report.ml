@@ -145,8 +145,9 @@ let report_tests =
             Alcotest.(check bool) "structurally equal" true (da = db)
         | _ -> Alcotest.fail "generate failed");
     ts "one report computes each exact leaf volume once" (fun () ->
-        (* Sample and volume of one report share the Lasserre weights of
-           the Fig. 1 union's two leaves; no DFK estimate runs. *)
+        (* The sample path reads the Lasserre weights of the Fig. 1
+           union's two leaves once; the volume path is the union's own
+           exact volume.  No DFK estimate and no acceptance trial runs. *)
         let union =
           "(x >= 0 /\\ y >= 0 /\\ x + y <= 1) \\/ (x >= 2 /\\ x <= 3 /\\ y >= 0 /\\ y <= 1)"
         in
@@ -160,8 +161,10 @@ let report_tests =
             with
             | Error e -> Alcotest.failf "generate (%s) failed: %s" engine e
             | Ok _ ->
-                Alcotest.(check int) (engine ^ ": exact leaf volumes") 2 (counter "volume.exact");
-                Alcotest.(check int) (engine ^ ": DFK estimates") 0 (counter "volume.estimates"))
+                Alcotest.(check int) (engine ^ ": exact volumes") 3 (counter "volume.exact");
+                Alcotest.(check int) (engine ^ ": DFK estimates") 0 (counter "volume.estimates");
+                Alcotest.(check int) (engine ^ ": acceptance trials") 0
+                  (counter "union.volume.trials"))
           [ "interp"; "vm-opt" ]);
     t "parse errors surface as Error" (fun () ->
         match Report.generate ~vars:[ "x" ] ~formula:"x >=" ~seed:1 () with

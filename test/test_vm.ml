@@ -284,7 +284,7 @@ let exact_tests =
         let plan, pieces = build rng in
         let kids = plan.Plan.root.Plan.children in
         Alcotest.(check (list bool)) "both leaves exact" [ true; true ]
-          (List.map Plan.is_exact_leaf kids);
+          (List.map Plan.is_exact kids);
         (* The interpreter's Karp–Luby prologue: each child volume at
            (ε/3, δ/4m), as Union.sample asks for it. *)
         let obs = Plan_obs.observables plan pieces in
