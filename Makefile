@@ -60,12 +60,16 @@ check:
 # (`--status-out`) recorded run must still replay bit-for-bit.
 # Finally the accuracy-contract smoke: `spatialdb audit` of the
 # Figure 1 union against the exact oracle (40 replicates over 2
-# domains), its audit document validated and gated against
+# domains; `--walk-steps 60`, the d = 2 default schedule, keeps the
+# leaves' DFK estimates and the union's Karp-Luby acceptance loop,
+# which the plan would otherwise replace by the oracle's own exact
+# volume), its audit document validated and gated against
 # the committed AUDIT_1.json ledger (same fingerprint, contract still
 # met), a fault-injected audit (`--phase-samples 5` starves the DFK
 # leaf estimates, which the plan then keeps instead of exact leaf
 # volumes) that must FAIL with exit 1, and a domains-vs-seq audit
-# differential: the two documents must be byte-identical and their
+# differential (also sampled under `--walk-steps 60`): the two
+# documents must be byte-identical and their
 # merged telemetry counters exactly equal.
 # Every document is checked by the one validator, `bench/validate.exe`
 # (subcommands report, plan, logs, profile, status, audit).  Throwaway
@@ -146,7 +150,7 @@ ci: check
 	dune exec bench/regress.exe -- --trend
 	dune exec bin/spatialdb.exe -- audit --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
-	  --seed 42 --runs 40 --jobs 2 --oracle exact \
+	  --seed 42 --runs 40 --jobs 2 --oracle exact --walk-steps 60 \
 	  --out _build/audit_ci.json > /dev/null
 	dune exec bench/validate.exe -- audit _build/audit_ci.json \
 	  --check AUDIT_1.json
@@ -156,12 +160,12 @@ ci: check
 	  test $$status -eq 1
 	dune exec bin/spatialdb.exe -- audit --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
-	  --seed 42 --runs 6 --jobs 2 --jobs-mode domains --oracle exact \
+	  --seed 42 --runs 6 --jobs 2 --jobs-mode domains --oracle exact --walk-steps 60 \
 	  --stats-out _build/ci_audit_par.json \
 	  --out _build/ci_audit_par_doc.json > /dev/null
 	dune exec bin/spatialdb.exe -- audit --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
-	  --seed 42 --runs 6 --jobs 2 --jobs-mode seq --oracle exact \
+	  --seed 42 --runs 6 --jobs 2 --jobs-mode seq --oracle exact --walk-steps 60 \
 	  --stats-out _build/ci_audit_seq.json \
 	  --out _build/ci_audit_seq_doc.json > /dev/null
 	cmp _build/ci_audit_par_doc.json _build/ci_audit_seq_doc.json

@@ -35,9 +35,11 @@ let formula_arg =
   let doc = "FO+LIN formula over the free variables (quantifier-free unless noted)." in
   Arg.(required & opt (some string) None & info [ "f"; "formula" ] ~docv:"FORMULA" ~doc)
 
+let default_seed = 42
+
 let seed_arg =
   let doc = "PRNG seed (all commands are deterministic given the seed)." in
-  Arg.(value & opt int 42 & info [ "seed" ] ~doc)
+  Arg.(value & opt int default_seed & info [ "seed" ] ~doc)
 
 let eps_arg =
   let doc = "Relative accuracy parameter epsilon in (0,1)." in
@@ -522,7 +524,11 @@ let volume_cmd =
     | "exact" -> (
         match VE.volume_relation_opt relation with
         | Some v -> Printf.printf "%.9f\n" (Rational.to_float v)
-        | None -> or_die (Error "relation is unbounded or has more than 16 tuples"))
+        | None ->
+            or_die
+              (Error
+                 (Printf.sprintf "relation is unbounded or has more than %d tuples"
+                    VE.default_max_tuples)))
     | "sampling" -> (
         match
           Scdb_gis.Plan_exec.observable_of_relation ~gamma:Flight.gamma ~eps ~delta
@@ -732,7 +738,9 @@ let audit_cmd =
     let doc =
       "Fault injection: override the estimator's mixing schedule with $(docv) walk steps per \
        sample (the oracle is untouched).  Starving the walk is the demo of the auditor \
-       catching a mis-mixed sampler — see EXPERIMENTS.md."
+       catching a mis-mixed sampler — see EXPERIMENTS.md.  Any value keeps every leaf and \
+       union volume sampled, so $(b,--walk-steps 60) (the d = 2 default schedule) audits the \
+       sampled estimator of a plan that would otherwise be exact."
     in
     Arg.(value & opt (some int) None & info [ "walk-steps" ] ~docv:"N" ~doc)
   in
@@ -980,12 +988,15 @@ let status_cmd =
 (* ---------------- plan ---------------- *)
 
 let plan_cmd =
-  let run vars_s formula seed eps delta =
+  let run vars_s formula eps delta =
     let module Plan = Scdb_plan.Plan in
     let _, relation = or_die (parse_relation vars_s formula) in
+    (* The decision and its price depend on the dimension, the
+       constraint counts and the budget only; the rng merely seeds the
+       rounding that precedes them. *)
     match
       Scdb_gis.Plan_build.of_relation ~gamma:Flight.gamma ~eps ~delta ~task:Plan.Volume
-        (Rng.create seed) relation
+        (Rng.create default_seed) relation
     with
     | None -> or_die (Error "relation is empty, unbounded or lower-dimensional")
     | Some (plan, _) ->
@@ -1003,7 +1014,7 @@ let plan_cmd =
      plan's root computes its volume exactly or samples it, and its predicted work."
   in
   Cmd.v (Cmd.info "plan" ~doc)
-    Term.(const run $ vars_arg $ formula_arg $ seed_arg $ eps_arg $ delta_arg)
+    Term.(const run $ vars_arg $ formula_arg $ eps_arg $ delta_arg)
 
 (* ---------------- explain ---------------- *)
 

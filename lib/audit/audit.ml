@@ -254,6 +254,7 @@ type t = {
   gamma : float;
   cov : coverage;
   budget : budget_row array;
+  exact : bool;
 }
 
 let attribution_pass ~exact_when_cheap ~config ~gamma ~eps ~delta ~seed relation =
@@ -262,7 +263,7 @@ let attribution_pass ~exact_when_cheap ~config ~gamma ~eps ~delta ~seed relation
     Plan_exec.observable_of_relation ~config ~exact_when_cheap ~gamma ~eps ~delta
       ~task:Plan.Volume rng relation
   with
-  | None -> [||]
+  | None -> ([||], false)
   | Some (plan, obs) ->
       Plan_exec.arm plan;
       (match Observable.volume obs ~gamma rng ~eps ~delta with
@@ -270,7 +271,7 @@ let attribution_pass ~exact_when_cheap ~config ~gamma ~eps ~delta ~seed relation
       | exception Observable.Estimation_failed _ -> ());
       let rows = budget_rows plan (Plan_exec.attribution plan) in
       Scdb_progress.Progress.stop ();
-      rows
+      (rows, Plan.is_exact plan.Plan.root)
 
 let run ?(gamma = Scdb_gis.Flight.gamma) ?(jobs = 1) ?(mode = Domains) ?(confidence = 0.95)
     ?(oracle = `Auto) ?max_tuples ?walk_steps ?phase_samples ~eps ~delta ~runs ~seed relation
@@ -281,7 +282,7 @@ let run ?(gamma = Scdb_gis.Flight.gamma) ?(jobs = 1) ?(mode = Domains) ?(confide
        schedule or the per-phase sample budget starves the estimator
        without touching anything else, so a deliberately broken
        estimator meets an unchanged oracle.  Both corrupt the DFK leaf
-       estimate, so under either every leaf stays sampled. *)
+       estimate, so under either every leaf and union stays sampled. *)
     let exact_when_cheap = walk_steps = None && phase_samples = None in
     let config =
       match walk_steps with
@@ -330,10 +331,11 @@ let run ?(gamma = Scdb_gis.Flight.gamma) ?(jobs = 1) ?(mode = Domains) ?(confide
           Trace.span "audit.verify" ~attrs:[ ("runs", string_of_int runs) ] @@ fun () ->
           verify ~jobs ~mode ~confidence ~eps ~delta ~runs ~seed ~truth estimate
         in
-        let budget =
+        let budget, exact =
           attribution_pass ~exact_when_cheap ~config ~gamma ~eps ~delta ~seed relation
         in
-        Ok { fingerprint; oracle = used; truth; truth_exact; eps; delta; gamma; cov; budget }
+        Ok
+          { fingerprint; oracle = used; truth; truth_exact; eps; delta; gamma; cov; budget; exact }
   end
 
 (* ---------------- rendering ---------------- *)
@@ -396,6 +398,10 @@ let to_text a =
        "audit: %.0f%% Clopper-Pearson interval [%.4f, %.4f], contract target %.4f\n"
        (100.0 *. a.cov.confidence) a.cov.cp_low a.cov.cp_high a.cov.target);
   add (Printf.sprintf "audit: verdict %s\n" (String.uppercase_ascii (verdict_name a.cov.verdict)));
+  if a.exact then
+    add
+      "audit: note: the plan computes this volume exactly, so every replicate is the oracle's \
+       value and the verdict checks nothing; --walk-steps N audits the sampled estimator\n";
   if Array.length a.budget > 0 then begin
     add "error budget (granted vs achieved, per plan node):\n";
     add (budget_rows_text a.budget)

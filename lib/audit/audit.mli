@@ -152,6 +152,7 @@ type t = {
   gamma : float;
   cov : coverage;
   budget : budget_row array;  (** from one armed planned run on [seed] *)
+  exact : bool;  (** an exact root: every replicate is the oracle's value *)
 }
 
 val run :
@@ -182,9 +183,8 @@ val run :
     mixing schedule / per-phase volume sample budget (the oracle is
     untouched), so a deliberately starved estimator is how the
     Figure 1 regression demo shows the auditor catching a broken
-    sampler.  Under either, every leaf keeps its DFK volume estimate;
-    otherwise the plan makes leaf volumes exact when cheap
-    ({!Scdb_plan.Cost.exact_volume_pays}). *)
+    sampler.  Under either, every leaf and union volume stays sampled;
+    otherwise the plan makes them exact when cheap ({!Scdb_plan.Cost}). *)
 
 val schema : string
 (** ["spatialdb-audit/1"]. *)

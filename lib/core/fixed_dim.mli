@@ -21,4 +21,4 @@ val exact_volume : Relation.t -> Rational.t option
 (** The exact polynomial-time fixed-dimension volume (Lemma 3.1's role,
     implemented by the Lasserre recursion + inclusion–exclusion):
     {!Scdb_polytope.Volume_exact.volume_relation_opt}, [None] on
-    unbounded input or past its 16-tuple guard. *)
+    unbounded input or past its tuple guard. *)

@@ -14,9 +14,6 @@ let make ?relation ~dim ~mem ~sample ~volume () =
   | _ -> ());
   { dim; relation; mem; sample; volume }
 
-let of_relation_parts ~relation ~mem ~sample ~volume =
-  { dim = Relation.dim relation; relation = Some relation; mem; sample; volume }
-
 let dim t = t.dim
 let relation t = t.relation
 let mem t x = t.mem x

@@ -33,14 +33,6 @@ val make :
   unit ->
   t
 
-val of_relation_parts :
-  relation:Relation.t ->
-  mem:(Vec.t -> bool) ->
-  sample:(Rng.t -> Params.t -> Vec.t option) ->
-  volume:(Rng.t -> gamma:float -> eps:float -> delta:float -> float) ->
-  t
-(** Like {!make} with the dimension taken from the relation. *)
-
 val dim : t -> int
 val relation : t -> Relation.t option
 val mem : t -> Vec.t -> bool

@@ -11,7 +11,8 @@ let relation_volume rng ?config mode r =
   | Exact -> (
       match Volume_exact.volume_relation_opt r with
       | Some v -> Ok (Rational.to_float v)
-      | None -> Error "unbounded query result, or more than 16 tuples")
+      | None ->
+          Error (Printf.sprintf "unbounded, or over %d tuples" Volume_exact.default_max_tuples))
   | Grid gamma -> (
       match Gridvol.build ~gamma r with
       | Some g -> Ok (Gridvol.volume g)

@@ -9,10 +9,6 @@
     δ/(4m)).  Nothing is sampled: the rounding preprocessing is the
     only rng consumer. *)
 
-val method_name : Convex_obs.config -> string
-(** ["walk"], ["grid"] or ["rejection"] — the plan-leaf method label
-    for a sampler configuration. *)
-
 val leaf_node :
   ?config:Convex_obs.config ->
   ?exact_when_cheap:bool ->

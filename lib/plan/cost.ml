@@ -85,7 +85,7 @@ let lasserre_work ~dim ~constraints =
 let exact_volume_pays ~dim ~constraints ~sampled_work =
   constraints > 0 && lasserre_work ~dim ~constraints <= sampled_work
 
-(* Volume_exact's inclusion–exclusion guard. *)
+(* Volume_exact.default_max_tuples, which a test pins equal. *)
 let max_exact_tuples = 16
 
 let exact_union_pays ~dim ~constraints ~sampled_work =

@@ -81,6 +81,9 @@ val exact_volume_pays : dim:int -> constraints:int -> sampled_work:float -> bool
     ([phases × samples_per_phase × walk_steps]).  [false] when the
     constraint count is unknown (0). *)
 
+val max_exact_tuples : int
+(** {!Scdb_polytope.Volume_exact.default_max_tuples}, copied. *)
+
 val exact_union_pays : dim:int -> constraints:int list -> sampled_work:float -> bool
 (** The same rule for a union node over dfk leaves with the given
     constraint counts: the exact volume is inclusion–exclusion over the
@@ -89,8 +92,8 @@ val exact_union_pays : dim:int -> constraints:int list -> sampled_work:float -> 
     {!lasserre_work} is at most [sampled_work] (the Karp–Luby acceptance
     loop's [volume_trials × walk_steps]).  The unpruned worst case is
     priced although {!Scdb_polytope.Volume_exact} skips the supersets of
-    null intersections.  [false] when [m] is 0 or above the exact
-    volume's 16-tuple guard, or when some count is unknown (0). *)
+    null intersections.  [false] when [m] is 0 or above
+    {!max_exact_tuples}, or when some count is unknown (0). *)
 
 (** {1 Inversions}
 

@@ -46,8 +46,6 @@ let shoelace vs =
 
 let area p = shoelace (vertices p)
 
-let area_of_tuple tuple = area (Polytope.of_tuple ~dim:2 tuple)
-
 let perimeter p =
   match vertices p with
   | [] -> 0.0

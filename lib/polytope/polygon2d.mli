@@ -13,9 +13,6 @@ val vertices : Polytope.t -> Vec.t list
 val area : Polytope.t -> float
 (** Shoelace area of the vertex polygon. *)
 
-val area_of_tuple : Dnf.tuple -> float
-(** Area of a 2-D generalized tuple. *)
-
 val perimeter : Polytope.t -> float
 
 val centroid : Polytope.t -> Vec.t option

@@ -153,7 +153,9 @@ let volume_tuple ~dim tuple =
    skipped: a subset is zero when some subset one tuple smaller is.  A
    disjoint union then costs its t tuple volumes and the pairwise
    checks, not 2^t − 1 recursions. *)
-let volume_relation ?(max_tuples = 16) r =
+let default_max_tuples = 16
+
+let volume_relation ?(max_tuples = default_max_tuples) r =
   let tuples = Array.of_list (Relation.tuples r) in
   let t = Array.length tuples in
   if t > max_tuples then invalid_arg "Volume_exact.volume_relation: too many tuples";
@@ -178,5 +180,4 @@ let volume_relation_opt ?max_tuples r =
   | exception Unbounded -> None
   | exception Invalid_argument _ -> None
 
-let float_volume_tuple ~dim tuple = Q.to_float (volume_tuple ~dim tuple)
 let float_volume_relation ?max_tuples r = Q.to_float (volume_relation ?max_tuples r)

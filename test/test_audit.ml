@@ -337,6 +337,29 @@ let run_tests =
               (a.A.cov.A.verdict = A.Pass);
             Alcotest.(check bool) "the leaf's delta is spent" true
               (a.A.budget.(0).A.b_delta_achieved > 0.0));
+    ts "a sampled union keeps its acceptance loop under audit" (fun () ->
+        (* The Figure 1 union plans exact by default, which would audit
+           the oracle against itself; the default d = 2 schedule as an
+           explicit --walk-steps keeps the Karp–Luby loop under test. *)
+        match A.run ~walk_steps:60 ~eps:0.2 ~delta:0.1 ~runs:12 ~seed:42 union_fig1 with
+        | Error e -> Alcotest.failf "audit failed to run: %s" e
+        | Ok a ->
+            Alcotest.(check bool) "sampled plan" false a.A.exact;
+            Alcotest.(check int) "every replicate within eps" a.A.cov.A.runs a.A.cov.A.hits;
+            Alcotest.(check bool) "not a failed contract" true (a.A.cov.A.verdict <> A.Fail);
+            let union = a.A.budget.(0) in
+            Alcotest.(check string) "root row" "union" union.A.b_op;
+            Alcotest.(check bool) "the acceptance loop spends its delta" true
+              (union.A.b_delta_achieved > 0.0));
+    ts "an all-exact audit says it checks nothing" (fun () ->
+        match A.run ~eps:0.2 ~delta:0.1 ~runs:2 ~seed:42 union_fig1 with
+        | Error e -> Alcotest.failf "audit failed to run: %s" e
+        | Ok a ->
+            Alcotest.(check bool) "exact plan" true a.A.exact;
+            Alcotest.(check bool) "replicates are the oracle" true
+              (Array.for_all (fun e -> e = a.A.truth) a.A.cov.A.estimates);
+            Alcotest.(check bool) "the text says so" true
+              (Test_flight.contains (A.to_text a) "checks nothing"));
     ts "corrupting the estimator budget fails the audited contract" (fun () ->
         (* A twentieth of the practical per-phase budget: same plan,
            same oracle, but the estimator can no longer honor the

@@ -17,7 +17,22 @@ let run args = Sys.command (Filename.quote binary ^ " " ^ args ^ " >/dev/null 2>
 
 let fig1 = "-v x,y -f \"x >= 0 /\\ y >= 0 /\\ x + y <= 1\""
 
+let fig1_union =
+  "(x >= 0 /\\ y >= 0 /\\ x + y <= 1) \\/ (x >= 2 /\\ x <= 3 /\\ y >= 0 /\\ y <= 1)"
+
 let check name expected args = Alcotest.(check int) name expected (run args)
+
+let capture args =
+  let out = Filename.temp_file "spatialdb_stdout" ".txt"
+  and err = Filename.temp_file "spatialdb_stderr" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove out; Sys.remove err) @@ fun () ->
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote binary) args (Filename.quote out)
+         (Filename.quote err))
+  in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  (code, read out, read err)
 
 let success_tests =
   [
@@ -47,6 +62,24 @@ let success_tests =
         in
         Alcotest.(check (option string)) "5-D body" (Some "exact") (volume_of 5);
         Alcotest.(check (option string)) "8-D body" (Some "sampled") (volume_of 8));
+    t "plan prints the root's Cost decision" (fun () ->
+        let plan vars formula =
+          let code, out, _ =
+            capture (Printf.sprintf "plan -v %s -f %s" vars (Filename.quote formula))
+          in
+          Alcotest.(check int) "plan exit" 0 code;
+          out
+        in
+        let union = plan "x,y" fig1_union in
+        Alcotest.(check bool) "union root" true (Test_flight.contains union "union over 2 tuple(s)");
+        Alcotest.(check bool) "union exact" true
+          (Test_flight.contains union "volume        : exact");
+        Alcotest.(check bool) "no predicted work" true
+          (Test_flight.contains union "predicted work: 0 ");
+        let vars, formula = Test_plan.body_formula 8 in
+        let cube = plan (String.concat "," vars) formula in
+        Alcotest.(check bool) "8-D body sampled" true
+          (Test_flight.contains cube "volume        : sampled"));
   ]
 
 let usage_tests =
@@ -180,18 +213,6 @@ module Flight = Scdb_gis.Flight
 module Flightrec = Scdb_log.Flightrec
 
 (* Run the binary; return its exit code, stdout and stderr. *)
-let capture args =
-  let out = Filename.temp_file "spatialdb_stdout" ".txt"
-  and err = Filename.temp_file "spatialdb_stderr" ".txt" in
-  Fun.protect ~finally:(fun () -> Sys.remove out; Sys.remove err) @@ fun () ->
-  let code =
-    Sys.command
-      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote binary) args (Filename.quote out)
-         (Filename.quote err))
-  in
-  let read f = In_channel.with_open_bin f In_channel.input_all in
-  (code, read out, read err)
-
 (* The reference rendering of a stream: Printf's %.6f, tab-separated,
    one line per point. *)
 let render points =
@@ -199,9 +220,6 @@ let render points =
     (List.map
        (fun p -> String.concat "\t" (List.map (Printf.sprintf "%.6f") (Array.to_list p)) ^ "\n")
        points)
-
-let fig1_union =
-  "(x >= 0 /\\ y >= 0 /\\ x + y <= 1) \\/ (x >= 2 /\\ x <= 3 /\\ y >= 0 /\\ y <= 1)"
 
 let flight ?(formula = fig1_union) ?(delta = 0.1) ~engine ~method_ ~seed n =
   { Flight.vars = [ "x"; "y" ]; formula; n; seed; eps = 0.2; delta; method_; engine }

@@ -327,6 +327,7 @@ let emitter_tests =
             gamma = Float.nan;
             cov;
             budget = [||];
+            exact = false;
           }
         in
         let doc =

@@ -405,6 +405,8 @@ let union_tests =
         Alcotest.(check bool) "16 tuples at any price" true
           (Cost.exact_union_pays ~dim:2 ~constraints:(List.init 16 (fun _ -> 3))
              ~sampled_work:Float.infinity);
+        Alcotest.(check int) "the guard is Volume_exact's"
+          Scdb_polytope.Volume_exact.default_max_tuples Cost.max_exact_tuples;
         Alcotest.(check bool) "unknown size" false
           (Cost.exact_union_pays ~dim:2 ~constraints:[ 3; 0 ] ~sampled_work:Float.infinity);
         let pair () = [ cheap (); cheap () ] in
