@@ -40,17 +40,13 @@ check:
 # snapshot, both validated, and the flight record replayed
 # bit-for-bit.  A second recorded run drives the batched multi-chain
 # kernel (`--diag --chains 4`) through its own record -> replay round
-# trip.  Finally a compiled-engine smoke: an interpreter-recorded
-# union run is replayed through the strict VM (`--engine vm`), which
-# must reproduce the recorded sample stream bit-for-bit, and an
-# optimized-VM run (`--engine vm-opt`, rewritten plan so a different
-# stream by design) goes through its own record -> replay round trip.
-# Last, the profiler smoke: a `spatialdb report --engine vm-opt` whose
-# embedded profile and tagged attribution rows must validate, a
-# `spatialdb profile` run whose profile document must
-# validate, a profiled+recorded sample run whose flight record must
-# still replay bit-for-bit (profiling never touches the RNG stream),
-# and `regress --trend` over the committed BENCH trajectory.
+# trip.  Then the engine-name smoke: an interpreter-recorded union run
+# is replayed under `--engine vm`, which must reproduce the recorded
+# sample stream bit-for-bit, and a `--engine vm-opt` run (rewritten
+# plan, so a different stream by design) goes through its own record
+# -> replay round trip; a `spatialdb report --engine vm-opt` whose
+# tagged attribution rows must validate; and `regress --trend` over the
+# committed BENCH trajectory.
 # Then the observability-context smoke: the same union query run as 2
 # concurrent jobs on separate domains (each in its own context) and
 # again sequentially; the merged telemetry counters of the two runs
@@ -72,7 +68,7 @@ check:
 # documents must be byte-identical and their
 # merged telemetry counters exactly equal.
 # Every document is checked by the one validator, `bench/validate.exe`
-# (subcommands report, plan, logs, profile, status, audit).  Throwaway
+# (subcommands report, plan, logs, status, audit).  Throwaway
 # artifacts go to _build/.
 ci: check
 	dune exec bench/regress.exe -- --fast -o _build/BENCH_ci.json --check BENCH_1.json
@@ -119,15 +115,6 @@ ci: check
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
 	  --seed 42 --engine vm-opt -o _build/report_vmopt.json
 	dune exec bench/validate.exe -- report _build/report_vmopt.json
-	dune exec bin/spatialdb.exe -- profile --vars x,y \
-	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
-	  --seed 42 -n 20 --out _build/profile_smoke.json > /dev/null
-	dune exec bench/validate.exe -- profile _build/profile_smoke.json
-	dune exec bin/spatialdb.exe -- sample --vars x,y \
-	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
-	  --seed 42 -n 5 --engine vm --profile=counting \
-	  --record _build/ci_profiled.flightrec.json > /dev/null 2> /dev/null
-	dune exec bin/spatialdb.exe -- replay _build/ci_profiled.flightrec.json
 	dune exec bin/spatialdb.exe -- sample --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
 	  --seed 42 -n 20 --jobs 2 --jobs-mode domains --live \

@@ -271,21 +271,6 @@ let telemetry_snapshot ~poly ~grid ~centre =
       done;
       ignore (Observable.volume u rng ~eps:0.3 ~delta:0.2)
   | _ -> ());
-  (* Compiled-engine exercise: strict-VM draws on the same two-box
-     union, so the per-instruction vm.op.* counters ride along in the
-     snapshot next to the sampler counters they explain. *)
-  (let rng = Rng.create 8_2026 in
-   let vars = [ "x"; "y" ] in
-   let formula =
-     "(0 <= x /\\ x <= 1 /\\ 0 <= y /\\ y <= 1) \\/ (2 <= x /\\ x <= 3 /\\ 0 <= y /\\ y <= 1)"
-   in
-   let relation = Relation.of_formula ~dim:2 (Parser.parse ~vars formula) in
-   match
-     Scdb_gis.Plan_exec.compiled_of_relation ~config:Convex_obs.practical_config ~gamma:0.05
-       ~eps:0.3 ~delta:0.2 ~task:(Scdb_plan.Plan.Sample 64) rng relation
-   with
-   | Some (_, Ok prog) -> ignore (Scdb_vm.Vm.sample_many prog rng ~n:64)
-   | _ -> ());
   let json = Tel.dump ~only_nonzero:true () in
   Tel.set_enabled false;
   json
@@ -332,47 +317,36 @@ let plan_calibration ~fast =
 (* Engine comparison                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* End-to-end draws/sec on the Figure 1 two-piece union, per execution
-   engine: the observable interpreter, the strict VM (bit-exact mirror)
-   and the optimized VM (cost-based plan rewrites).  Construction and
+(* Draws/sec on the Figure 1 two-piece union, per engine: the
+   interpreter on the plan as built ([interp], also [vm]) and on the
+   rewritten plan ([vm-opt]), so the ratio is what the rewrite pass
+   (rejection-box substitution, shared leaves) buys.  Construction and
    the one-time Karp–Luby weight estimation are warmed out of the
    measurement — the gate is about the per-draw hot path.  Paired-min
    estimator for the same reason as [dirbound_gate]: scheduler noise
    only adds time. *)
 let engine_sweep ~fast =
-  let module Plan_exec = Scdb_gis.Plan_exec in
   let module Vm = Scdb_vm.Vm in
   let vars = [ "x"; "y" ] in
   let formula =
     "(x >= 0 /\\ y >= 0 /\\ x + y <= 1) \\/ (x >= 2 /\\ x <= 3 /\\ y >= 0 /\\ y <= 1)"
   in
   let relation = Relation.of_formula ~dim:2 (Parser.parse ~vars formula) in
-  let gamma = 0.05 and eps = 0.3 and delta = 0.2 in
-  let config = Convex_obs.practical_config in
-  let task = Scdb_plan.Plan.Sample 1 in
-  let params = Params.make ~gamma ~eps ~delta () in
-  let interp =
-    let rng = Rng.create 13_2026 in
-    match Plan_exec.observable_of_relation ~config ~gamma ~eps ~delta ~task rng relation with
-    | None -> failwith "engine sweep: union fixture is empty"
-    | Some (_, obs) -> fun () -> ignore (Observable.sample_exn obs rng params)
-  in
-  let compiled optimize =
+  let draw engine =
     let rng = Rng.create 13_2026 in
     match
-      Plan_exec.compiled_of_relation ~config ~optimize ~gamma ~eps ~delta ~task rng relation
+      Scdb_gis.Plan_exec.engine_of_relation ~config:Convex_obs.practical_config ~engine
+        ~gamma:0.05 ~eps:0.3 ~delta:0.2 ~task:(Scdb_plan.Plan.Sample 1) rng relation
     with
-    | None -> failwith "engine sweep: union fixture is empty"
-    | Some (_, Error m) -> failwith ("engine sweep: union fixture does not compile: " ^ m)
-    | Some (_, Ok prog) -> fun () -> ignore (Vm.sample_one prog rng)
+    | Error m -> failwith ("engine sweep: " ^ m)
+    | Ok prog -> fun () -> ignore (Vm.sample_one prog rng)
   in
-  let vm = compiled false and vm_opt = compiled true in
-  let draws = List.map (fun (_, d) -> d) [ ("interp", interp); ("vm", vm); ("vm-opt", vm_opt) ] in
+  let draws = [ draw "interp"; draw "vm-opt" ] in
   (* Warm: first draw runs the cached volume estimation / prologues. *)
   List.iter (fun d -> d ()) draws;
   let rounds = if fast then 7 else 9 in
   let per_round = if fast then 200 else 600 in
-  let mins = Array.make 3 infinity in
+  let mins = Array.make 2 infinity in
   for _ = 1 to rounds do
     List.iteri
       (fun i d ->
@@ -384,80 +358,19 @@ let engine_sweep ~fast =
         if ns < mins.(i) then mins.(i) <- ns)
       draws
   done;
-  let interp_ns = mins.(0) and vm_ns = mins.(1) and vm_opt_ns = mins.(2) in
-  Printf.printf "\nend-to-end union draws/sec per engine (paired min):\n";
+  let interp_ns = mins.(0) and vm_opt_ns = mins.(1) in
+  Printf.printf "\nunion draws/sec per engine (paired min):\n";
   List.iteri
     (fun i name ->
       Printf.printf "  %-8s %10.1f ns/draw  %12.0f draws/sec  %5.2fx vs interp\n" name mins.(i)
         (1e9 /. mins.(i)) (interp_ns /. mins.(i)))
-    [ "interp"; "vm"; "vm-opt" ];
+    [ "interp"; "vm-opt" ];
   let json =
     Printf.sprintf
-      "{\"interp_ns_per_draw\": %.3f, \"vm_ns_per_draw\": %.3f, \"vm_opt_ns_per_draw\": %.3f, \
-       \"vm_speedup\": %.3f, \"vm_opt_speedup\": %.3f}"
-      interp_ns vm_ns vm_opt_ns (interp_ns /. vm_ns) (interp_ns /. vm_opt_ns)
+      "{\"interp_ns_per_draw\": %.3f, \"vm_opt_ns_per_draw\": %.3f, \"vm_opt_speedup\": %.3f}"
+      interp_ns vm_opt_ns (interp_ns /. vm_opt_ns)
   in
   (json, interp_ns /. vm_opt_ns)
-
-(* ------------------------------------------------------------------ *)
-(* Profiler overhead                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The instruction profiler's contract is "cheap enough to leave on":
-   counting mode is allocation-free array bumps, timing mode reads the
-   monotonic clock only around the kernel opcodes (walk, ensure,
-   member).  Measured on the strict VM over the Figure 1 union — the
-   walk-bound engine whose ~10 us draws are what a profiled production
-   run actually executes; under --check the timing overhead is gated at
-   5%.  Paired-min estimator for the same reason as [dirbound_gate]. *)
-let profile_overhead ~fast =
-  let module Plan_exec = Scdb_gis.Plan_exec in
-  let module Vm = Scdb_vm.Vm in
-  let module Profile = Scdb_profile.Profile in
-  let vars = [ "x"; "y" ] in
-  let formula =
-    "(x >= 0 /\\ y >= 0 /\\ x + y <= 1) \\/ (x >= 2 /\\ x <= 3 /\\ y >= 0 /\\ y <= 1)"
-  in
-  let relation = Relation.of_formula ~dim:2 (Parser.parse ~vars formula) in
-  let rng = Rng.create 17_2026 in
-  match
-    Plan_exec.compiled_of_relation ~config:Convex_obs.practical_config ~gamma:0.05 ~eps:0.3
-      ~delta:0.2 ~task:(Scdb_plan.Plan.Sample 1) rng relation
-  with
-  | None | Some (_, Error _) -> ("null", 1.0)
-  | Some (_, Ok prog) ->
-      let counting = Profile.create ~mode:Profile.Counting prog in
-      let timing = Profile.create ~mode:Profile.Timing prog in
-      let plain () = ignore (Vm.sample_one prog rng) in
-      let count () = ignore (Profile.sample_one counting rng) in
-      let time () = ignore (Profile.sample_one timing rng) in
-      (* Warm: the first draw runs the cached weight estimation. *)
-      plain ();
-      let rounds = if fast then 7 else 9 in
-      let per_round = if fast then 150 else 400 in
-      let mins = [| infinity; infinity; infinity |] in
-      for _ = 1 to rounds do
-        List.iteri
-          (fun i d ->
-            let t0 = Unix.gettimeofday () in
-            for _ = 1 to per_round do
-              d ()
-            done;
-            let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int per_round in
-            if ns < mins.(i) then mins.(i) <- ns)
-          [ plain; count; time ]
-      done;
-      let c_ov = mins.(1) /. mins.(0) and t_ov = mins.(2) /. mins.(0) in
-      Printf.printf
-        "\nprofiler overhead on the strict VM (paired min): unprofiled %.1f ns/draw, counting \
-         %.1f (%.3fx), timing %.1f (%.3fx)\n"
-        mins.(0) mins.(1) c_ov mins.(2) t_ov;
-      ( Printf.sprintf
-          "{\"unprofiled_ns_per_draw\": %.3f, \"counting_ns_per_draw\": %.3f, \
-           \"timing_ns_per_draw\": %.3f, \"counting_overhead\": %.4f, \"timing_overhead\": \
-           %.4f}"
-          mins.(0) mins.(1) mins.(2) c_ov t_ov,
-        t_ov )
 
 (* ------------------------------------------------------------------ *)
 (* Observability-context overhead                                      *)
@@ -953,7 +866,6 @@ let run ~fast ~out ~check ~metrics_out =
       Printf.printf "wrote %s\n" path);
   let calibration = plan_calibration ~fast in
   let engine_json, vm_opt_speedup = engine_sweep ~fast in
-  let overhead_json, timing_overhead = profile_overhead ~fast in
   let ctx_json, ctx_ov = ctx_overhead ~fast in
   let diagnostics = diagnostics_block ~fast ~poly in
   (* JSON out. *)
@@ -970,13 +882,12 @@ let run ~fast ~out ~check ~metrics_out =
     \  \"batch_sweep\": %s,\n\
     \  \"plan_calibration\": %s,\n\
     \  \"engine_sweep\": %s,\n\
-    \  \"profile_overhead\": %s,\n\
     \  \"ctx_overhead\": %s,\n\
     \  \"telemetry\": %s,\n\
     \  \"diagnostics\": %s\n\
      }\n"
     batch_sweep_json (String.trim calibration) (String.trim engine_json)
-    (String.trim overhead_json) (String.trim ctx_json) (String.trim telemetry)
+    (String.trim ctx_json) (String.trim telemetry)
     (String.trim diagnostics);
   close_out oc;
   Printf.printf "\nwrote %s\n" out;
@@ -1001,11 +912,8 @@ let run ~fast ~out ~check ~metrics_out =
         Printf.printf
           "batched K16 draws/sec %.2fx of K1 on the direction-bound fixture (gate: >= 2x)\n"
           batch_speedup_k16;
-      (* Compiled-engine gate: the optimized VM must hold >= 2x end-to-end
-         draws/sec over the interpreter on the union fixture.  The strict
-         VM is informational only — it mirrors the interpreter's RNG
-         stream instruction for instruction, so its win is dispatch
-         overhead, not algorithmic. *)
+      (* Rewrite gate: the interpreter on the rewritten plan must hold
+         >= 2x draws/sec over the plan as built on the union fixture. *)
       if vm_opt_speedup < 2.0 then begin
         Printf.printf
           "FAIL: vm-opt draws/sec only %.2fx of interp on the union fixture (gate: >= 2x)\n"
@@ -1015,20 +923,6 @@ let run ~fast ~out ~check ~metrics_out =
       else
         Printf.printf "vm-opt draws/sec %.2fx of interp on the union fixture (gate: >= 2x)\n"
           vm_opt_speedup;
-      (* Profiler gate: timing mode must stay within 5% of the
-         unprofiled strict VM on the union fixture, so leaving the
-         profiler attached to a diagnostic run never distorts what it
-         measures.  Counting mode is strictly cheaper and rides along
-         uninstrumented. *)
-      if timing_overhead > 1.05 then begin
-        Printf.printf
-          "FAIL: timing-mode profiler overhead %.3fx on the strict VM (gate: <= 1.05x)\n"
-          timing_overhead;
-        exit 1
-      end
-      else
-        Printf.printf "timing-mode profiler overhead %.3fx on the strict VM (gate: <= 1.05x)\n"
-          timing_overhead;
       (* Context gate: installing an observability context must not
          slow the counter hot path — the sentinel-swap design makes
          the contexted bump the same instruction sequence as the

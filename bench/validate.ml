@@ -3,7 +3,6 @@
    Usage:
      validate report FILE [--require-converged]
      validate plan FILE
-     validate profile FILE
      validate logs [--log FILE] [--metrics FILE]
      validate status [FILE [--min-contexts N]] [--compare-counters A B]
      validate audit FILE [--check BASELINE]
@@ -22,10 +21,9 @@
             finite positive ratio; audit.fingerprint 16 hex digits and
             one error-budget row per plan node; the telemetry schema;
             diagnostics with >= 4 chains, every R-hat and ESS finite,
-            and with --require-converged a positive verdict; under
-            engine interp no profile block, under vm/vm-opt a profile
-            block passing every profile rule below with the same
-            engine, and under vm-opt at least one row with rewrite tags.
+            and with --require-converged a positive verdict; a known
+            engine, no profile block, and under vm-opt at least one row
+            with rewrite tags.
    plan     parses through Plan.of_json (node-id contiguity, child
             structure, attribute sanity, "volume" on dfk and union
             nodes exact|sampled), >= 1 node, total_work finite
@@ -33,13 +31,6 @@
             positive (both may be 0 for a volume task on an exact root);
             an exact node predicts zero volume work, and an exact
             union's children are all dfk leaves.
-   profile  engine vm|vm-opt, mode counting|timing; one pcs row per
-            instruction in strictly ascending pc order; counts are
-            non-negative integers and ns finite non-negative (zero in
-            counting mode); the per-pc, per-opcode and per-node views
-            each sum to total_instructions_executed and
-            total_profiled_ns; every pcs[].node appears in nodes[], and
-            every pcs[].tag in its node's tags.
    logs     --log: every JSON line has the schema, a known level, a
             non-empty event, an integer span, a strictly increasing seq,
             a non-decreasing finite ts and finite numeric fields.
@@ -174,68 +165,6 @@ let check_plan doc =
     fail "root budget is not positive";
   plan
 
-(* ---------------- profile ---------------- *)
-
-let check_profile doc =
-  schema doc Scdb_profile.Profile.schema;
-  let engine = str doc "engine" in
-  if engine <> "vm" && engine <> "vm-opt" then fail "unexpected engine %S" engine;
-  let mode = str doc "mode" in
-  if mode <> "counting" && mode <> "timing" then fail "unexpected mode %S" mode;
-  let instructions = count doc "instructions" in
-  let total_exec = count doc "total_instructions_executed" in
-  let total_ns = nonneg doc "total_profiled_ns" in
-  let sums_to what (c, ns) =
-    if c <> total_exec then
-      fail "per-%s counts sum to %g but total_instructions_executed is %g" what c total_exec;
-    if Float.abs (ns -. total_ns) > 0.5 then
-      fail "per-%s ns sum to %g but total_profiled_ns is %g" what ns total_ns
-  in
-  let sum ~at count_key rows =
-    List.fold_left
-      (fun (c, n) row -> (c +. count ~at row count_key, n +. nonneg ~at row "ns"))
-      (0.0, 0.0) rows
-  in
-  (* Totality: one row per emitted instruction, ascending. *)
-  let pcs = arr doc "pcs" in
-  if List.length pcs <> int_of_float instructions then
-    fail "pcs table has %d rows but the program has %g instructions (missing pcs)"
-      (List.length pcs) instructions;
-  let nodes = arr doc "nodes" in
-  let node_tags = Hashtbl.create 16 in
-  List.iter
-    (fun row ->
-      let at = "nodes[]." in
-      Hashtbl.replace node_tags
-        (int_of_float (count ~at row "id"))
-        (List.map (string "nodes[].tags[]") (arr ~at row "tags")))
-    nodes;
-  let last_pc = ref (-1) in
-  List.iteri
-    (fun i row ->
-      let at = Printf.sprintf "pcs[%d]." i in
-      let pc = int_of_float (count ~at row "pc") in
-      if pc <= !last_pc then fail "%spc %d breaks ascending pc order (after %d)" at pc !last_pc;
-      last_pc := pc;
-      let node = int_of_float (count ~at row "node") in
-      let tags =
-        match Hashtbl.find_opt node_tags node with
-        | Some t -> t
-        | None -> fail "%s maps to node %d which is absent from the nodes rollup" at node
-      in
-      (match J.member "tag" row with
-      | Some (J.Str t) ->
-          if not (List.mem t tags) then
-            fail "%s carries tag %S but node %d's rollup does not" at t node
-      | Some J.Null | None -> ()
-      | Some _ -> fail "%stag is neither a string nor null" at);
-      if mode = "counting" && nonneg ~at row "ns" <> 0.0 then fail "%s has ns in counting mode" at)
-    pcs;
-  sums_to "pc" (sum ~at:"pcs[]." "count" pcs);
-  sums_to "opcode" (sum ~at:"opcodes[]." "count" (arr doc "opcodes"));
-  sums_to "node" (sum ~at:"nodes[]." "instructions" nodes);
-  (engine, List.length pcs)
-
 (* ---------------- report ---------------- *)
 
 let check_report ~require_converged doc =
@@ -299,18 +228,12 @@ let check_report ~require_converged doc =
     per_chain;
   if require_converged && field ~at diag "converged" <> J.Bool true then
     fail "diagnostics report non-convergence";
-  (* Engine-dependent profile block. *)
+  (* Engine: the rewrite tags of vm-opt's plan, and no profile block. *)
   let engine = str ~at:"args." (field doc "args") "engine" in
-  (match (engine, J.member "profile" doc) with
-  | "interp", (Some J.Null | None) -> ()
-  | "interp", Some _ -> fail "interp report carries a profile block"
-  | ("vm" | "vm-opt"), (Some J.Null | None) -> fail "%s report is missing its profile block" engine
-  | ("vm" | "vm-opt"), Some p ->
-      let p_engine, _ = check_profile p in
-      if p_engine <> engine then fail "report engine %s but profile engine %s" engine p_engine;
-      if engine = "vm-opt" && !tagged = 0 then
-        fail "vm-opt report has no attribution row with rewrite tags"
-  | e, _ -> fail "unexpected args.engine %S" e);
+  if not (List.mem engine Scdb_gis.Flight.engines) then fail "unexpected args.engine %S" engine;
+  if engine = "vm-opt" && !tagged = 0 then
+    fail "vm-opt report has no attribution row with rewrite tags";
+  if J.member "profile" doc <> None then fail "report carries a profile block";
   Printf.sprintf "%d trace events, %d plan nodes (%d executed), %d chains, max R-hat %.4f"
     n_events (List.length rows) !executed chains (List.fold_left Float.max 0.0 rhat)
 
@@ -562,10 +485,6 @@ let () =
           ok path
             (Printf.sprintf "%d nodes, total predicted work %g" plan.Scdb_plan.Plan.node_count
                plan.Scdb_plan.Plan.total_work)
-      | "profile" ->
-          let path = one_file (fst (parse_args [] args)) in
-          let engine, pcs = check_profile (doc_of path) in
-          ok path (Printf.sprintf "%s, %d pcs" engine pcs)
       | "logs" -> (
           match parse_args [ ("--log", 1); ("--metrics", 1) ] args with
           | [], (_ :: _ as flags) ->
@@ -616,5 +535,5 @@ let () =
           | _ -> ());
           ok path
             (Printf.sprintf "%d/%d hits, coverage %.4f, verdict %s" hits runs coverage verdict)
-      | _ -> fail "unknown subcommand (want report|plan|profile|logs|status|audit)")
-  | [] -> fail "usage: validate (report|plan|profile|logs|status|audit) ..."
+      | _ -> fail "unknown subcommand (want report|plan|logs|status|audit)")
+  | [] -> fail "usage: validate (report|plan|logs|status|audit) ..."

@@ -124,10 +124,10 @@ let check_engine e =
 
 let engine_arg =
   let doc =
-    "Execution engine: $(b,interp) (the observable-combinator interpreter, the default), \
-     $(b,vm) (plans compiled to the flat kernel VM; bit-identical rng stream and sample \
-     stream to the interpreter) or $(b,vm-opt) (the VM with cost-based plan rewrites — same \
-     distribution, different stream, typically the fastest)."
+    "Execution engine: $(b,interp) (the observable-combinator interpreter over the query \
+     plan, the default), $(b,vm) (the same interpreter under its older name; identical \
+     stream) or $(b,vm-opt) (the interpreter on the plan after its cost-based rewrites — \
+     same distribution, different stream, typically the fastest)."
   in
   Arg.(value & opt string "interp" & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
@@ -146,18 +146,9 @@ let overrun_arg =
   in
   Arg.(value & opt float 4.0 & info [ "overrun-factor" ] ~docv:"FACTOR" ~doc)
 
-let print_attribution ?program plan =
+let print_attribution plan =
   prerr_endline "cost attribution (predicted vs actual, work units = steps + trials):";
-  prerr_string
-    (Scdb_gis.Plan_exec.attribution_text (Scdb_gis.Plan_exec.attribution ?program plan))
-
-let profile_modes = [ "counting"; "timing" ]
-
-let profile_mode_of_string s =
-  match s with
-  | "counting" -> Scdb_profile.Profile.Counting
-  | "timing" -> Scdb_profile.Profile.Timing
-  | m -> usage_die "profile mode" m profile_modes
+  prerr_string (Scdb_gis.Plan_exec.attribution_text (Scdb_gis.Plan_exec.attribution plan))
 
 let write_file path body =
   let oc = open_out path in
@@ -289,36 +280,13 @@ let sample_cmd =
     in
     Arg.(value & opt (some string) None & info [ "record-on-anomaly" ] ~docv:"FILE" ~doc)
   in
-  let profile_arg =
-    let doc =
-      "Attach the instruction profiler to the run (compiled engines only): $(b,counting) \
-       (exact per-pc/per-opcode execution counts, allocation-free) or $(b,timing) (counts \
-       plus monotonic-clock nanosecond buckets on the kernel opcodes; the default when the \
-       flag is given bare).  Prints the hot-pc/per-opcode/per-node tables and the \
-       predicted-vs-actual attribution to stderr.  Profiling never perturbs the RNG stream."
-    in
-    Arg.(
-      value
-      & opt (some string) None ~vopt:(Some "timing")
-      & info [ "profile" ] ~docv:"MODE" ~doc)
-  in
-  let profile_out_arg =
-    let doc =
-      "With $(b,--profile), additionally write the full " ^ Scdb_profile.Profile.schema
-      ^ " JSON document \
-       (hot pcs, opcode histogram, per-node rollup, Chrome trace events) to $(docv)."
-    in
-    Arg.(value & opt (some string) None & info [ "profile-out" ] ~docv:"FILE" ~doc)
-  in
   let run vars_s formula n seed eps delta method_ engine stats stats_out diag chains o record
-      record_anomaly progress overrun_factor profile_s profile_out jobs jobs_mode live
-      status_out =
+      record_anomaly progress overrun_factor jobs jobs_mode live status_out =
     check_method method_;
     check_engine engine;
     if not (List.mem jobs_mode [ "domains"; "seq" ]) then
       usage_die "jobs mode" jobs_mode [ "domains"; "seq" ];
     if jobs < 1 then or_die (Error "--jobs must be >= 1");
-    let profile_mode = Option.map profile_mode_of_string profile_s in
     enable_stats ?stats_out stats;
     setup_obs o;
     (* Anomaly detection rides on the warn/error counters, so make sure
@@ -337,8 +305,7 @@ let sample_cmd =
         (* The legacy single-run path: everything lands in the default
            context, exactly as before contexts existed. *)
         or_die
-          (Flight.run ~track ~progress ~ticker:progress ~overrun_factor ?profile_mode
-             ~sink:print_point args)
+          (Flight.run ~track ~progress ~ticker:progress ~overrun_factor ~sink:print_point args)
       else begin
         (* Contexted path: each job runs the whole query in its own
            observability context (seed + job index), optionally on its
@@ -347,7 +314,6 @@ let sample_cmd =
            flight records, anomaly counters) see the union. *)
         if jobs > 1 && track then
           or_die (Error "--record/--record-on-anomaly require --jobs 1 (one stream per record)");
-        if jobs > 1 && profile_mode <> None then or_die (Error "--profile requires --jobs 1");
         if jobs > 1 && diag then or_die (Error "--diag requires --jobs 1");
         let ctxs =
           Array.init jobs (fun i -> Obs.Ctx.create ~name:(Printf.sprintf "job-%d" i) ())
@@ -373,7 +339,7 @@ let sample_cmd =
             incr nx;
             if jobs = 1 then print_point p else kept := p :: !kept
           in
-          let r = Flight.run ~ctx:c ~track ~progress:true ~overrun_factor ?profile_mode ~sink a in
+          let r = Flight.run ~ctx:c ~track ~progress:true ~overrun_factor ~sink a in
           (* One FFT-free autocorrelation pass over the drawn stream. *)
           if Result.is_ok r && !nx >= 4 then
             Obs.Ctx.set_ess c (Scdb_diag.Diag.ess (Array.sub !xs 0 !nx));
@@ -397,20 +363,11 @@ let sample_cmd =
         end;
         (* jobs = 1: after the merge the default context holds exactly
            what an uncontexted run would have left behind, so the
-           record/profile/diag tails below run unchanged. *)
+           record/diag tails below run unchanged. *)
         fst outcomes.(0)
       end
     in
-    (match outcome.Flight.profile with
-    | Some profile ->
-        prerr_string
-          (Scdb_profile.Profile.text_report ~plan:outcome.Flight.plan profile);
-        print_attribution ?program:outcome.Flight.program outcome.Flight.plan;
-        (match profile_out with
-        | Some path ->
-            write_file path (Scdb_profile.Profile.to_json ~plan:outcome.Flight.plan profile)
-        | None -> ())
-    | None -> if progress then print_attribution ?program:outcome.Flight.program outcome.Flight.plan);
+    if progress then print_attribution outcome.Flight.plan;
     let relation = outcome.Flight.relation and rng = outcome.Flight.rng in
     (match record with
     | Some path -> Flightrec.write path (Flight.to_flightrec args outcome)
@@ -501,8 +458,8 @@ let sample_cmd =
     Term.(
       const run $ vars_arg $ formula_arg $ n_arg $ seed_arg $ eps_arg $ delta_arg $ method_arg
       $ engine_arg $ stats_arg $ stats_out_arg $ diag_arg $ chains_arg $ obs_term $ record_arg
-      $ record_anomaly_arg $ progress_arg $ overrun_arg $ profile_arg $ profile_out_arg
-      $ jobs_arg $ jobs_mode_arg $ live_arg $ status_out_arg)
+      $ record_anomaly_arg $ progress_arg $ overrun_arg $ jobs_arg $ jobs_mode_arg $ live_arg
+      $ status_out_arg)
 
 (* ---------------- volume ---------------- *)
 
@@ -802,70 +759,6 @@ let audit_cmd =
       $ jobs_mode_arg $ oracle_arg $ confidence_arg $ gamma_arg $ walk_steps_arg
       $ phase_samples_arg $ out_arg $ stats_arg $ stats_out_arg $ obs_term)
 
-(* ---------------- profile ---------------- *)
-
-let profile_cmd =
-  let n_arg =
-    Arg.(value & opt int 10 & info [ "n"; "samples" ] ~doc:"Number of points to draw.")
-  in
-  let method_arg =
-    let doc = "Per-piece sampler: $(b,walk), $(b,grid) or $(b,rejection)." in
-    Arg.(value & opt string "walk" & info [ "method" ] ~docv:"METHOD" ~doc)
-  in
-  let engine_arg =
-    let doc =
-      "Compiled engine to profile: $(b,vm) (the strict mirror) or $(b,vm-opt) (with \
-       cost-based rewrites, the default — the rewrite tags in the output show where its \
-       speedup comes from)."
-    in
-    Arg.(value & opt string "vm-opt" & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
-  let mode_arg =
-    let doc =
-      "Profiler mode: $(b,timing) (per-pc monotonic-clock nanosecond buckets, the default) \
-       or $(b,counting) (execution counts only — allocation-free, negligible overhead)."
-    in
-    Arg.(value & opt string "timing" & info [ "mode" ] ~docv:"MODE" ~doc)
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:("Write the " ^ Scdb_profile.Profile.schema ^ " JSON document to $(docv)."))
-  in
-  let top_arg =
-    Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc:"Rows in the hot-pc table.")
-  in
-  let run vars_s formula n seed eps delta method_ engine mode_s out top stats stats_out o =
-    check_method method_;
-    let compiled = List.filter (( <> ) "interp") Flight.engines in
-    if not (List.mem engine compiled) then usage_die "engine" engine compiled;
-    let mode = profile_mode_of_string mode_s in
-    enable_stats ?stats_out stats;
-    setup_obs o;
-    let args =
-      { Flight.vars = split_vars vars_s; formula; n; seed; eps; delta; method_; engine }
-    in
-    let outcome = or_die (Flight.run ~profile_mode:mode ~sink:ignore args) in
-    let plan = outcome.Flight.plan in
-    let profile = Option.get outcome.Flight.profile in
-    print_string (Scdb_profile.Profile.text_report ~plan ~top profile);
-    print_attribution ?program:outcome.Flight.program plan;
-    match out with
-    | Some path -> write_file path (Scdb_profile.Profile.to_json ~plan profile)
-    | None -> ()
-  in
-  let doc =
-    "Draw points through a compiled engine under the instruction profiler and print the \
-     hot-pc table, the per-opcode histogram, the per-plan-node rollup (with the compiler's \
-     rewrite tags) and the predicted-vs-actual cost attribution."
-  in
-  Cmd.v (Cmd.info "profile" ~doc)
-    Term.(
-      const run $ vars_arg $ formula_arg $ n_arg $ seed_arg $ eps_arg $ delta_arg $ method_arg
-      $ engine_arg $ mode_arg $ out_arg $ top_arg $ stats_arg $ stats_out_arg $ obs_term)
-
 (* ---------------- replay ---------------- *)
 
 let replay_cmd =
@@ -878,9 +771,8 @@ let replay_cmd =
   let engine_override_arg =
     let doc =
       "Replay through $(docv) ($(b,interp), $(b,vm) or $(b,vm-opt)) instead of the engine \
-       recorded in the file.  Replaying an interpreter-recorded flight with $(b,--engine vm) \
-       is the differential check that the compiled engine mirrors the interpreter \
-       bit-for-bit."
+       recorded in the file.  $(b,interp) and $(b,vm) name the same engine, so a record of \
+       either replays under the other bit-for-bit."
     in
     Arg.(value & opt (some string) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
   in
@@ -1029,9 +921,8 @@ let explain_cmd =
     Arg.(value & opt string "walk" & info [ "method" ] ~docv:"METHOD" ~doc)
   in
   let format_arg =
-    let doc = "Output format: $(b,tree) (indented text, the default), $(b,json) (the " ^ Scdb_plan.Plan.schema
-               ^ " document) or $(b,program) (the plan lowered to the kernel VM: \
-               piece table, weight/trial slots and the instruction listing)." in
+    let doc = "Output format: $(b,tree) (indented text, the default) or $(b,json) (the "
+               ^ Scdb_plan.Plan.schema ^ " document)." in
     Arg.(value & opt string "tree" & info [ "format" ] ~docv:"FORMAT" ~doc)
   in
   let task_arg =
@@ -1042,8 +933,7 @@ let explain_cmd =
   let run vars_s formula n seed eps delta method_ engine format task_s =
     check_method method_;
     check_engine engine;
-    if not (List.mem format [ "tree"; "json"; "program" ]) then
-      usage_die "format" format [ "tree"; "json"; "program" ];
+    if not (List.mem format [ "tree"; "json" ]) then usage_die "format" format [ "tree"; "json" ];
     let task =
       match task_s with
       | "sample" -> Scdb_plan.Plan.Sample n
@@ -1062,18 +952,6 @@ let explain_cmd =
     (* The plan is built over the prepared pieces (the rng-consuming
        rounding half), so explain takes the seed the run would use. *)
     let rng = Rng.create seed in
-    if format = "program" then begin
-      let task = (match task with Scdb_plan.Plan.Volume -> Scdb_plan.Plan.Sample n | t -> t) in
-      let optimize = engine = "vm-opt" in
-      match
-        Scdb_gis.Plan_exec.compiled_of_relation ~config ~optimize ~gamma:Flight.gamma ~eps
-          ~delta ~task rng relation
-      with
-      | None -> or_die (Error "relation is empty, unbounded or lower-dimensional")
-      | Some (_, Error m) -> or_die (Error ("plan does not compile: " ^ m))
-      | Some (_, Ok prog) -> print_string (Scdb_vm.Vm.disassemble prog)
-    end
-    else
       match
         Scdb_gis.Plan_build.of_relation ~config ~gamma:Flight.gamma ~eps ~delta ~task rng relation
       with
@@ -1107,7 +985,6 @@ let () =
             reconstruct_cmd;
             report_cmd;
             audit_cmd;
-            profile_cmd;
             replay_cmd;
             status_cmd;
             plan_cmd;

@@ -27,7 +27,39 @@ let tuples r = r.tuples
 let size r = List.fold_left (fun acc t -> acc + List.length t) 0 r.tuples
 
 let mem r x = List.exists (fun t -> Dnf.tuple_holds t x) r.tuples
-let mem_float ?slack r x = List.exists (fun t -> Dnf.tuple_holds_float ?slack t x) r.tuples
+(* One atom packed for float evaluation: its constant, then its terms
+   in ascending variable order.  [holds_packed] sums them in that order,
+   which is [Term.eval_float]'s, so the packed test answers exactly as
+   [Dnf.tuple_holds_float] does, with every [Rational.to_float] paid
+   once per relation instead of once per point. *)
+type packed = { op : Atom.op; const : float; vars : int array; coeffs : float array }
+
+let pack (a : Atom.t) =
+  let terms = Array.of_list (Term.coeffs a.Atom.term) in
+  {
+    op = a.Atom.op;
+    const = Rational.to_float (Term.constant a.Atom.term);
+    vars = Array.map fst terms;
+    coeffs = Array.map (fun (_, c) -> Rational.to_float c) terms;
+  }
+
+let holds_packed slack p (x : Vec.t) =
+  let acc = ref p.const in
+  for k = 0 to Array.length p.vars - 1 do
+    acc := !acc +. (Array.unsafe_get p.coeffs k *. x.(Array.unsafe_get p.vars k))
+  done;
+  let v = !acc in
+  match p.op with Atom.Le -> v <= slack | Atom.Lt -> v < slack | Atom.Eq -> Float.abs v <= slack
+
+let rec tuple_holds_packed slack t i x =
+  i >= Array.length t || (holds_packed slack t.(i) x && tuple_holds_packed slack t (i + 1) x)
+
+let rec exists_packed slack ts i x =
+  i < Array.length ts && (tuple_holds_packed slack ts.(i) 0 x || exists_packed slack ts (i + 1) x)
+
+let mem_float ?(slack = 0.0) r =
+  let ts = Array.of_list (List.map (fun t -> Array.of_list (List.map pack t)) r.tuples) in
+  fun x -> exists_packed slack ts 0 x
 
 let union a b =
   if a.dim <> b.dim then invalid_arg "Relation.union: dimension mismatch";

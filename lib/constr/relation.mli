@@ -23,6 +23,11 @@ val size : t -> int
 
 val mem : t -> Rational.t array -> bool
 val mem_float : ?slack:float -> t -> Vec.t -> bool
+(** Float membership with [slack] (default 0), answering as
+    {!Dnf.tuple_holds_float} over the tuples.  [mem_float ~slack r]
+    packs every atom's rational coefficients into floats once and
+    returns the test: apply it to [r] once and reuse the closure for
+    every point. *)
 
 val union : t -> t -> t
 (** @raise Invalid_argument on dimension mismatch. *)

@@ -15,10 +15,9 @@ let practical_config =
 
 (* A prepared piece is the rng-consuming half of generator construction
    (the well-rounding preprocessing), split from the closure-building
-   half so the plan→kernel compiler can reuse the exact same
-   preprocessing draws and then build either an interpreted observable
-   ([observe]) or a compiled program (Scdb_vm) over the same rounded
-   body. *)
+   half ([observe]) so a plan can be built over the pieces first and
+   its rewrite pass (Plan_obs.rewrite) can read them before any
+   observable exists. *)
 type prepared = {
   p_dim : int;
   p_config : config;
@@ -59,6 +58,7 @@ let observe p =
      once per observed piece, on its first rejection draw; a piece that
      is never sampled never pays for it.  Two domains racing here both
      store the same box. *)
+  let in_body x = Polytope.mem body x in
   let box = ref None in
   let bounding_box () =
     match !box with
@@ -86,7 +86,7 @@ let observe p =
       | Grid_walk ->
           let grid = Grid.step_for ~gamma ~dim ~scale:r_sup in
           Walk.sample walk_rng ~grid
-            ~mem:(fun x -> Polytope.mem body x)
+            ~mem:in_body
             ~start:(Vec.create dim) ~steps
       | Hit_and_run ->
           Hit_and_run.sample_polytope walk_rng body ~start:(Vec.create dim) ~steps
@@ -103,7 +103,7 @@ let observe p =
           | Some (lo, hi) -> (
               match
                 Rejection.sample walk_rng ~lo ~hi
-                  ~mem:(fun x -> Polytope.mem body x)
+                  ~mem:in_body
                   ~max_attempts:20_000
               with
               | Some (x, _) -> x
@@ -129,7 +129,7 @@ let observe p =
   in
   let mem =
     match p.p_relation with
-    | Some r -> fun x -> Relation.mem_float ~slack:1e-9 r x
+    | Some r -> Relation.mem_float ~slack:1e-9 r
     | None -> fun x -> Polytope.mem ~slack:1e-9 p.p_original x
   in
   Observable.make ?relation:p.p_relation ~dim ~mem ~sample ~volume ()

@@ -49,9 +49,10 @@ val of_polytope :
     [prepare] runs only the first and returns the preprocessed piece;
     [observe] builds the interpreted observable from it.
     [of_polytope rng p = Option.map observe (prepare rng p)] — same rng
-    draw sequence — and the plan→kernel compiler ({!Scdb_vm}) consumes
-    prepared pieces directly, so both engines share identical
-    preprocessing streams. *)
+    draw sequence.  A plan is built over prepared pieces
+    ({!Plan_obs}), so its rewrite pass can inspect the rounded bodies
+    before any observable exists, and every engine shares one
+    preprocessing stream. *)
 
 type prepared = private {
   p_dim : int;

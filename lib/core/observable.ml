@@ -23,19 +23,19 @@ let volume t ?gamma rng ~eps ~delta =
   let gamma = match gamma with Some g -> g | None -> Params.gamma Params.default in
   t.volume rng ~gamma ~eps ~delta
 
+let sample_failed t attempts =
+  let module Log = Scdb_log.Log in
+  if Log.would_log Log.Error then
+    Log.error "observable.sample_failed" [ Log.int "attempts" attempts; Log.int "dim" t.dim ];
+  raise (Estimation_failed "generator failed on every retry")
+
+let rec retry t rng params attempts n =
+  if n = 0 then sample_failed t attempts
+  else match t.sample rng params with Some x -> x | None -> retry t rng params attempts (n - 1)
+
 let sample_exn t rng params =
   let attempts = Stdlib.max 4 (int_of_float (ceil (20.0 *. log (1.0 /. Params.delta params)))) in
-  let rec go n =
-    if n = 0 then begin
-      let module Log = Scdb_log.Log in
-      if Log.would_log Log.Error then
-        Log.error "observable.sample_failed"
-          [ Log.int "attempts" attempts; Log.int "dim" t.dim ];
-      raise (Estimation_failed "generator failed on every retry")
-    end
-    else match t.sample rng params with Some x -> x | None -> go (n - 1)
-  in
-  go attempts
+  retry t rng params attempts attempts
 
 let sample_iter t rng params ~n f =
   for _ = 1 to n do

@@ -1,15 +1,13 @@
-(** One plan, two executors: the plan rewrite pass and the one
+(** One plan, one executor: the plan rewrite pass and the one
     plan→observable translation.
 
     A finalized {!Scdb_plan.Plan.t} over its prepared convex pieces
-    (given in preorder leaf order, one per dfk/guard leaf) is all either
+    (given in preorder leaf order, one per dfk/guard leaf) is all the
     executor needs.  {!observables} turns it into the interpreted
-    observable tree; the compiled engine ({!Scdb_vm.Vm}) lowers the same
-    plan and estimates its weight prologues through the same tree.
-    {!rewrite} is the one place the optimized engine's decisions are
-    made; both executors read them off the plan nodes, so the
-    interpreter on a rewritten plan is the bit-exact oracle of
-    [--engine vm-opt]. *)
+    observable tree.  {!rewrite} is the one place the optimized
+    engine's decisions are made, and {!observables} reads them off the
+    plan nodes: [--engine vm-opt] is the interpreter on the rewritten
+    plan. *)
 
 val rewrite : Scdb_plan.Plan.t -> Convex_obs.prepared array -> Scdb_plan.Plan.t
 (** The cost-based rewrite pass.  It marks, on each dfk leaf:

@@ -35,54 +35,74 @@ let union children =
       (Array.sub children 1 (m - 1))
   in
   let mem x = Array.exists (fun c -> Observable.mem c x) children in
-  (* j(x): index of the first operand containing x. *)
+  (* j(x): index of the first operand containing x, [m] when none does. *)
   let first_index x =
-    let rec go i = if i >= m then None else if Observable.mem children.(i) x then Some i else go (i + 1) in
+    let rec go i = if i >= m || Observable.mem children.(i) x then i else go (i + 1) in
     go 0
   in
   let volumes rng ~gamma ~eps ~delta =
     Array.map (fun c -> Observable.volume c rng ~gamma ~eps ~delta) children
   in
-  let sample rng params =
-    Trace.span "union.sample"
-      ~counters:
-        [ "union.trials"; "union.first_index_miss"; "union.child_failures"; "union.exhausted" ]
-    @@ fun () ->
+  (* The Karp–Luby weights of the last (γ, ε/3, δ/4m) a draw asked for.
+     The children's volumes are cached, so only the first call for a
+     triple draws rng values; keeping its vector spares every later
+     draw a map and a hash lookup per child. *)
+  let last_mu = ref None in
+  let weights rng ~gamma ~eps ~delta =
+    match !last_mu with
+    | Some (g, e, d, mu) when g = gamma && e = eps && d = delta -> mu
+    | _ ->
+        let mu = volumes rng ~gamma ~eps ~delta in
+        last_mu := Some (gamma, eps, delta, mu);
+        mu
+  in
+  (* Up to [k] Karp–Luby trials: a child drawn by weight, its point
+     kept only if that child is the first to contain it. *)
+  let rec attempt rng mu child_params trials k =
+    if k = 0 then begin
+      Tel.Counter.incr tel_exhausted;
+      if Log.would_log Log.Warn then
+        Log.warn "union.exhausted" [ Log.int "trials" trials; Log.int "operands" m ];
+      None
+    end
+    else begin
+      Tel.Counter.incr tel_trials;
+      Progress.add_trials 1;
+      let j = Rng.categorical rng mu in
+      match Observable.sample children.(j) rng child_params with
+      | None ->
+          Tel.Counter.incr tel_child_failures;
+          attempt rng mu child_params trials (k - 1)
+      | Some x ->
+          if first_index x = j then Some x
+          else begin
+            Tel.Counter.incr tel_first_index_miss;
+            attempt rng mu child_params trials (k - 1)
+          end
+    end
+  in
+  let draw rng params =
     Tel.Counter.incr tel_samples;
     Trace.add_attr_int "operands" m;
     let gamma = Params.gamma params in
     let eps3 = Params.eps params /. 3.0 in
     let delta = Params.delta params in
     let sub_delta = delta /. float_of_int (4 * m) in
-    let mu = volumes rng ~gamma ~eps:eps3 ~delta:sub_delta in
+    let mu = weights rng ~gamma ~eps:eps3 ~delta:sub_delta in
     if Array.for_all (fun v -> v <= 0.0) mu then None
     else begin
-    let trials = trials_for ~m ~delta in
-    let rec attempt k =
-      if k = 0 then begin
-        Tel.Counter.incr tel_exhausted;
-        if Log.would_log Log.Warn then
-          Log.warn "union.exhausted" [ Log.int "trials" trials; Log.int "operands" m ];
-        None
-      end
-      else begin
-        Tel.Counter.incr tel_trials;
-        Progress.add_trials 1;
-        let j = Rng.categorical rng mu in
-        match Observable.sample children.(j) rng (Params.third_eps params) with
-        | None ->
-            Tel.Counter.incr tel_child_failures;
-            attempt (k - 1)
-        | Some x ->
-            if first_index x = Some j then Some x
-            else begin
-              Tel.Counter.incr tel_first_index_miss;
-              attempt (k - 1)
-            end
-      end
-    in
-    attempt trials
+      let trials = trials_for ~m ~delta in
+      attempt rng mu (Params.third_eps params) trials trials
     end
+  in
+  (* The span only when tracing: the draw loop allocates no closure. *)
+  let sample rng params =
+    if not (Trace.enabled ()) then draw rng params
+    else
+      Trace.span "union.sample"
+        ~counters:
+          [ "union.trials"; "union.first_index_miss"; "union.child_failures"; "union.exhausted" ]
+        (fun () -> draw rng params)
   in
   let volume rng ~gamma ~eps ~delta =
     (* Karp–Luby estimator: μ(∪) = (Σ μ̂ᵢ) · P[trial accepted], and the
@@ -112,7 +132,7 @@ let union children =
         let j = Rng.categorical rng mu in
         match Observable.sample children.(j) rng params with
         | None -> ()
-        | Some x -> if first_index x = Some j then incr accepted
+        | Some x -> if first_index x = j then incr accepted
       done;
       Progress.add_trials n;
       Tel.Counter.add tel_vol_trials n;

@@ -20,8 +20,6 @@ type outcome = {
   relation : Relation.t;
   rng : Rng.t;
   plan : Scdb_plan.Plan.t;
-  program : Scdb_vm.Vm.t option;
-  profile : Scdb_profile.Profile.t option;
 }
 
 let ( let* ) = Result.bind
@@ -60,14 +58,9 @@ let parse_relation ~vars formula =
       parsed
   end
 
-let run_inner ~track ~progress ~ticker ?overrun_factor ?profile_mode ?sink a =
+let run_inner ~track ~progress ~ticker ?overrun_factor ?sink a =
   let* sampler = sampler_of_method a.method_ in
   let* engine = check_engine a.engine in
-  let* () =
-    if profile_mode <> None && engine = "interp" then
-      Error "profiling requires a compiled engine (--engine vm or vm-opt)"
-    else Ok ()
-  in
   let* relation = parse_relation ~vars:a.vars a.formula in
   if track then begin
     Rng.Provenance.reset ();
@@ -75,50 +68,18 @@ let run_inner ~track ~progress ~ticker ?overrun_factor ?profile_mode ?sink a =
   end;
   let rng = Rng.create a.seed in
   let config = { Convex_obs.practical_config with Convex_obs.sampler } in
-  let task = Scdb_plan.Plan.Sample a.n in
-  (* Both engines share the parse, the preprocessing rng draws and the
-     plan; they differ only in how the n draws are executed. *)
-  let built =
-    match engine with
-    | "interp" -> (
-        match
-          Plan_exec.observable_of_relation ~config ~gamma ~eps:a.eps ~delta:a.delta ~task rng
-            relation
-        with
-        | None -> Error "relation is empty, unbounded or lower-dimensional"
-        | Some (plan, obs) ->
-            let params = Params.make ~gamma ~eps:a.eps ~delta:a.delta () in
-            Ok (plan, None, None, Observable.sample_iter obs rng params ~n:a.n))
-    | _ -> (
-        let optimize = engine = "vm-opt" in
-        match
-          Plan_exec.compiled_of_relation ~config ~optimize ~gamma ~eps:a.eps ~delta:a.delta
-            ~task rng relation
-        with
-        | None -> Error "relation is empty, unbounded or lower-dimensional"
-        | Some (_, Error m) -> Error ("plan does not compile: " ^ m)
-        | Some (plan, Ok prog) -> (
-            match profile_mode with
-            | None ->
-                Ok (plan, Some prog, None, Scdb_vm.Vm.sample_iter prog rng ~n:a.n)
-            | Some mode ->
-                let pr = Scdb_profile.Profile.create ~mode prog in
-                Ok
-                  ( plan,
-                    Some prog,
-                    Some pr,
-                    Scdb_profile.Profile.sample_iter pr rng ~n:a.n )))
+  (* Every engine shares the parse, the preprocessing rng draws and the
+     plan; vm-opt then draws from the rewritten plan. *)
+  let* prog =
+    Plan_exec.engine_of_relation ~config ~engine ~gamma ~eps:a.eps ~delta:a.delta
+      ~task:(Scdb_plan.Plan.Sample a.n) rng relation
   in
-  let* plan, program, profile, draw = built in
-  (* Profiled runs arm the bus even without --progress so the per-node
-     actual column of the attribution table is populated; the stderr
-     ticker is separate so a contexted job can arm its bus for the
-     status view without fighting over the terminal. *)
-  if progress || profile <> None then Plan_exec.arm ?overrun_factor plan;
+  let plan = Scdb_vm.Vm.plan prog in
+  (* The stderr ticker is separate so a contexted job can arm its bus
+     for the status view without fighting over the terminal. *)
+  if progress then Plan_exec.arm ?overrun_factor plan;
   if ticker then Scdb_progress.Progress.start_ticker ();
-  let finish_progress () =
-    if progress || profile <> None then Scdb_progress.Progress.stop ()
-  in
+  let finish_progress () = if progress then Scdb_progress.Progress.stop () in
   if Log.would_log Log.Info then
     Log.info "sample.run"
       [
@@ -143,19 +104,18 @@ let run_inner ~track ~progress ~ticker ?overrun_factor ?profile_mode ?sink a =
           f x
     | Some f -> f
   in
-  match draw emit with
+  match Scdb_vm.Vm.sample_iter prog rng ~n:a.n emit with
   | () ->
       finish_progress ();
       if Log.would_log Log.Info then
         Log.info "sample.done" [ Log.int "points" a.n; Log.int "draws" (Rng.draw_count rng) ];
-      Ok { points = List.rev !kept; relation; rng; plan; program; profile }
+      Ok { points = List.rev !kept; relation; rng; plan }
   | exception Observable.Estimation_failed m ->
       finish_progress ();
       Error m
 
-let run ?ctx ?(track = false) ?(progress = false) ?(ticker = false) ?overrun_factor
-    ?profile_mode ?sink a =
-  let body () = run_inner ~track ~progress ~ticker ?overrun_factor ?profile_mode ?sink a in
+let run ?ctx ?(track = false) ?(progress = false) ?(ticker = false) ?overrun_factor ?sink a =
+  let body () = run_inner ~track ~progress ~ticker ?overrun_factor ?sink a in
   match ctx with
   | None -> body ()
   | Some c -> Scdb_obs.Obs.Ctx.run c body

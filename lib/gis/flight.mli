@@ -18,10 +18,9 @@ type args = {
   delta : float;
   method_ : string;  (** ["walk"], ["grid"] or ["rejection"] *)
   engine : string;
-      (** ["interp"] (the observable interpreter), ["vm"] (the strict
-          compiled engine — same rng stream as the interpreter) or
-          ["vm-opt"] (compiled with cost-based rewrites; same
-          distribution, different stream) *)
+      (** ["interp"] or ["vm"] (the plan interpreter, one and the same
+          stream) or ["vm-opt"] (the interpreter on the rewritten plan;
+          same distribution, different stream) *)
 }
 
 val engines : string list
@@ -45,14 +44,11 @@ type outcome = {
   relation : Relation.t;  (** the parsed (and quantifier-eliminated) relation *)
   rng : Rng.t;  (** the root generator, post-run (for follow-on work like [--diag]) *)
   plan : Scdb_plan.Plan.t;
-      (** the cost-model plan the run was budgeted against (task
-          [Sample n]); with [~progress:true] its predicted-vs-actual
-          attribution is readable via {!Plan_exec.attribution} after
+      (** the cost-model plan the run was budgeted against and executed
+          (task [Sample n]; rewritten under ["vm-opt"]); with
+          [~progress:true] its predicted-vs-actual attribution, rewrite
+          tags included, is readable via {!Plan_exec.attribution} after
           the run *)
-  program : Scdb_vm.Vm.t option;
-      (** the compiled program, under [--engine vm|vm-opt] (supplies
-          rewrite tags to {!Plan_exec.attribution}) *)
-  profile : Scdb_profile.Profile.t option;  (** filled when [profile_mode] was given *)
 }
 
 val run :
@@ -61,7 +57,6 @@ val run :
   ?progress:bool ->
   ?ticker:bool ->
   ?overrun_factor:float ->
-  ?profile_mode:Scdb_profile.Profile.mode ->
   ?sink:(Vec.t -> unit) ->
   args ->
   (outcome, string) result
@@ -77,10 +72,7 @@ val run :
     [~ticker:true] additionally runs the stderr progress ticker for
     the duration — kept separate so concurrent contexted jobs can arm
     their buses for the status view without fighting over the
-    terminal.  [profile_mode] (compiled engines only — an [Error]
-    under ["interp"]) attaches an instruction profiler and arms the
-    progress bus ticker-free, so the outcome carries both the profile
-    and readable attribution.  None of these options perturb the RNG
+    terminal.  None of these options perturb the RNG
     stream, so replay is unaffected.  Emits [sample.run] /
     [sample.done] info events.
 
@@ -109,6 +101,5 @@ val replay : ?engine:string -> Scdb_log.Flightrec.t -> (int, string) result
     RNG draw counts against the recorded lineage.  [Ok n] returns the
     verified stream length; any divergence reports the first differing
     sample, coordinate and both values.  [engine] overrides the
-    record's engine — replaying an interpreter-recorded flight with
-    [~engine:"vm"] (or vice versa) is the differential test that the
-    compiled engine is a bit-exact mirror. *)
+    record's engine: ["interp"] and ["vm"] records replay under
+    either name. *)

@@ -7,10 +7,13 @@ let observable_of_relation ?config ?exact_when_cheap ~gamma ~eps ~delta ~task rn
       (plan, (Plan_obs.observables plan pieces).(plan.Plan.root.Plan.id)))
     (Plan_build.of_relation ?config ?exact_when_cheap ~gamma ~eps ~delta ~task rng r)
 
-let compiled_of_relation ?config ?(optimize = false) ~gamma ~eps ~delta ~task rng r =
-  Option.map
-    (fun (plan, pieces) -> (plan, Scdb_vm.Vm.compile ~optimize ~plan ~pieces ()))
-    (Plan_build.of_relation ?config ~gamma ~eps ~delta ~task rng r)
+let engine_of_relation ?config ~engine ~gamma ~eps ~delta ~task rng r =
+  match Plan_build.of_relation ?config ~gamma ~eps ~delta ~task rng r with
+  | None -> Error "relation is empty, unbounded or lower-dimensional"
+  | Some (plan, pieces) ->
+      Result.map_error
+        (fun m -> "plan does not compile: " ^ m)
+        (Scdb_vm.Vm.compile ~optimize:(engine = "vm-opt") ~plan ~pieces ())
 
 let arm ?overrun_factor plan =
   let rows =
@@ -27,15 +30,18 @@ type attribution_row = {
   tags : string list;  (** rewrite provenance under the optimized engine *)
 }
 
-let attribution ?program plan =
+(* A node's rewrite provenance: its own rewrite, or [shared_union_leaf]
+   on a union whose leaves share a twin's piece and weight. *)
+let rewrite_tags plan id =
+  match Plan.find_node plan id with
+  | None -> []
+  | Some n ->
+      let shared (c : Plan.node) = match c.Plan.rewrite with Plan.Shared _ -> true | _ -> false in
+      let r = if List.exists shared n.Plan.children then Plan.Shared id else n.Plan.rewrite in
+      Option.to_list (Plan.rewrite_tag r)
+
+let attribution plan =
   let actuals = Progress.rows () in
-  let tags_of =
-    match program with
-    | None -> fun _ -> []
-    | Some prog ->
-        let table = Scdb_vm.Vm.rewrite_tags prog in
-        fun id -> Option.value (List.assoc_opt id table) ~default:[]
-  in
   Array.map
     (fun (id, op, predicted) ->
       let actual =
@@ -46,7 +52,7 @@ let attribution ?program plan =
         else if predicted > 0.0 then actual /. predicted
         else Float.infinity
       in
-      { id; op; predicted; actual; ratio; tags = tags_of id })
+      { id; op; predicted; actual; ratio; tags = rewrite_tags plan id })
     (Plan.budget_rows plan)
 
 module Jo = Scdb_json.Json_out

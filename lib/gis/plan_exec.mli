@@ -1,10 +1,10 @@
 (** Plan-tagged execution: the bridge from static plans to the
-    executors, the progress bus and the predicted-vs-actual attribution
+    executor, the progress bus and the predicted-vs-actual attribution
     table.
 
-    Both engines start from {!Plan_build.of_relation}: the interpreter
-    runs {!Scdb_core.Plan_obs.observables} over the plan, the VM
-    compiles it.  Every node's sample/volume calls run inside
+    Every engine starts from {!Plan_build.of_relation} and runs
+    {!Scdb_core.Plan_obs.observables} over the plan, or over its
+    rewrite under [vm-opt].  Every node's sample/volume calls run inside
     [Progress.with_node] with the plan-node id, so the accrued actuals
     land on exactly the node whose budget predicted them.  The wrapper
     is transparent to the RNG stream, so flight-recorder replay is
@@ -24,22 +24,20 @@ val observable_of_relation :
     unless [exact_when_cheap] is [false]), then the interpreted root of
     {!Scdb_core.Plan_obs.observables}. *)
 
-val compiled_of_relation :
+val engine_of_relation :
   ?config:Convex_obs.config ->
-  ?optimize:bool ->
+  engine:string ->
   gamma:float ->
   eps:float ->
   delta:float ->
   task:Scdb_plan.Plan.task ->
   Rng.t ->
   Relation.t ->
-  (Scdb_plan.Plan.t * (Scdb_vm.Vm.t, string) result) option
-(** The compiled-engine twin of {!observable_of_relation}: the same
-    plan and pieces lowered through {!Scdb_vm.Vm.compile} (strict
-    mirror by default; [optimize:true] compiles the rewritten plan).
-    [None] under the same emptiness conditions; [Some (plan, Error _)]
-    when the plan has a shape the compiler refuses.  The returned plan
-    is the one the run is budgeted against, before any rewrite. *)
+  (Scdb_vm.Vm.t, string) result
+(** {!Plan_build.of_relation}, then {!Scdb_vm.Vm.compile} under
+    [engine]: ["vm-opt"] executes the rewritten plan, ["interp"] and
+    ["vm"] the plan as built.  [Error] when the relation is empty,
+    unbounded or lower-dimensional, or the plan is refused. *)
 
 val arm : ?overrun_factor:float -> Scdb_plan.Plan.t -> unit
 (** [Progress.start] with the plan's budget rows. *)
@@ -53,13 +51,13 @@ type attribution_row = {
   tags : string list;  (** rewrite provenance under the optimized engine *)
 }
 
-val attribution : ?program:Scdb_vm.Vm.t -> Scdb_plan.Plan.t -> attribution_row array
+val attribution : Scdb_plan.Plan.t -> attribution_row array
 (** Join the plan's budgets with the progress bus's accrued actuals,
     in node-id order.  Call after the run, before the next
-    [Progress.start].  When the run executed a compiled [program], its
-    symbolization table supplies each node's rewrite tags
-    ([rejection_box_substituted], [shared_union_leaf]) so attribution
-    rows carry provenance. *)
+    [Progress.start].  Pass the executed plan ({!Scdb_vm.Vm.plan}):
+    each row carries its node's rewrite tag
+    ({!Scdb_plan.Plan.rewrite_tag}), and a union whose leaves share
+    weights carries [shared_union_leaf]. *)
 
 val attribution_json : attribution_row array -> string
 (** JSON array (two-space indented block); every non-finite number is

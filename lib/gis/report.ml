@@ -4,7 +4,7 @@ module Polytope = Scdb_polytope.Polytope
 
 module Jo = Scdb_json.Json_out
 
-let schema = "spatialdb-report/5"
+let schema = "spatialdb-report/6"
 
 type parts = {
   vars : string list;
@@ -21,7 +21,6 @@ type parts = {
   samples : float array list;
   volume : float option;
   diagnostics : Diag_run.t option;
-  profile : string option;
 }
 
 (* An embedded document, re-indented to sit one level deep. *)
@@ -69,9 +68,10 @@ let to_json ~chrome ?(span_count = Trace.count ())
   add
     (Plan_exec.budget_attribution_json (Plan_exec.budget_attribution p.plan p.attribution));
   add "\n  },\n";
-  let block = function Some doc -> embed doc | None -> "null" in
-  add ("  \"diagnostics\": " ^ block (Option.map Diag_run.to_json p.diagnostics) ^ ",\n");
-  add ("  \"profile\": " ^ block p.profile ^ ",\n");
+  add
+    ("  \"diagnostics\": "
+    ^ (match p.diagnostics with Some d -> embed (Diag_run.to_json d) | None -> "null")
+    ^ ",\n");
   add (Printf.sprintf "  \"span_count\": %d,\n" span_count);
   add ("  \"telemetry\": " ^ embed telemetry ^ ",\n");
   add "  \"trace\": ";
@@ -112,82 +112,42 @@ let execute ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
       | Error e -> Error e
       | Ok relation -> (
           let task = Scdb_plan.Plan.Report samples in
+          (* The progress bus collects per-node actuals for the
+             attribution table; armed only around the planned work
+             (diagnostics below are outside the plan and must not
+             pollute the root's actuals). *)
           let built =
-            (* The progress bus collects per-node actuals for the
-               attribution table; armed only around the planned work
-               (diagnostics below are outside the plan and must not
-               pollute the root's actuals). *)
-            match engine with
-            | "interp" -> (
+            match
+              Plan_exec.engine_of_relation ~config:Convex_obs.practical_config ~engine
+                ~gamma:0.05 ~eps ~delta ~task rng relation
+            with
+            | Error e -> Error e
+            | Ok prog -> (
+                let plan = Scdb_vm.Vm.plan prog in
+                Plan_exec.arm ?overrun_factor plan;
+                if progress then Scdb_progress.Progress.start_ticker ();
                 match
-                  Plan_exec.observable_of_relation ~config:Convex_obs.practical_config
-                    ~gamma:0.05 ~eps ~delta ~task rng relation
+                  Trace.span "report.sample" ~attrs:[ ("n", string_of_int samples) ] (fun () ->
+                      Scdb_vm.Vm.sample_many prog rng ~n:samples)
                 with
-                | None -> Error "relation is empty, unbounded or lower-dimensional"
-                | Some (plan, obs) ->
-                    Plan_exec.arm ?overrun_factor plan;
-                    if progress then Scdb_progress.Progress.start_ticker ();
-                    let params = Params.make ~gamma:0.05 ~eps ~delta () in
-                    let pts =
-                      Trace.span "report.sample" ~attrs:[ ("n", string_of_int samples) ]
-                        (fun () -> Observable.sample_many obs rng params ~n:samples)
-                    in
+                | pts ->
                     let vol =
                       Trace.span "report.volume" (fun () ->
-                          match Observable.volume obs rng ~eps ~delta with
+                          let root = Scdb_vm.Vm.observable prog in
+                          match Observable.volume root rng ~eps ~delta with
                           | v -> Some v
                           | exception Observable.Estimation_failed _ -> None)
                     in
                     let attribution = Plan_exec.attribution plan in
                     Scdb_progress.Progress.stop ();
-                    Ok (plan, attribution, pts, vol, None))
-            | _ -> (
-                (* Compiled engines: draws run through the instruction
-                   profiler (timing mode — a report is a diagnostic
-                   document), volume through the program's interpreted
-                   mirror, and the attribution rows carry the
-                   compiler's rewrite tags. *)
-                let optimize = engine = "vm-opt" in
-                match
-                  Plan_exec.compiled_of_relation ~config:Convex_obs.practical_config
-                    ~optimize ~gamma:0.05 ~eps ~delta ~task rng relation
-                with
-                | None -> Error "relation is empty, unbounded or lower-dimensional"
-                | Some (_, Error m) -> Error ("plan does not compile: " ^ m)
-                | Some (plan, Ok prog) -> (
-                    Plan_exec.arm ?overrun_factor plan;
-                    if progress then Scdb_progress.Progress.start_ticker ();
-                    let profile =
-                      Scdb_profile.Profile.create ~mode:Scdb_profile.Profile.Timing prog
-                    in
-                    match
-                      Trace.span "report.sample" ~attrs:[ ("n", string_of_int samples) ]
-                        (fun () -> Scdb_profile.Profile.sample_many profile rng ~n:samples)
-                    with
-                    | pts ->
-                        let vol =
-                          Trace.span "report.volume" (fun () ->
-                              match
-                                Observable.volume (Scdb_vm.Vm.mirror prog) rng ~eps ~delta
-                              with
-                              | v -> Some v
-                              | exception Observable.Estimation_failed _ -> None)
-                        in
-                        let attribution = Plan_exec.attribution ~program:prog plan in
-                        Scdb_progress.Progress.stop ();
-                        Ok
-                          ( plan,
-                            attribution,
-                            pts,
-                            vol,
-                            Some (Scdb_profile.Profile.to_json ~plan profile) )
-                    | exception Observable.Estimation_failed m ->
-                        Scdb_progress.Progress.stop ();
-                        Error ("sampling failed: " ^ m)))
+                    Ok (plan, attribution, pts, vol)
+                | exception Observable.Estimation_failed m ->
+                    Scdb_progress.Progress.stop ();
+                    Error ("sampling failed: " ^ m))
           in
           match built with
           | Error e -> Error e
-          | Ok (plan, attribution, pts, vol, profile_json) ->
+          | Ok (plan, attribution, pts, vol) ->
               let diag =
                 match Relation.tuples relation with
                 | tuple :: _ ->
@@ -211,7 +171,6 @@ let execute ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
                   samples = pts;
                   volume = vol;
                   diagnostics = diag;
-                  profile = profile_json;
                 })
     in
     (* Snapshot after the root span closes so every duration is final;

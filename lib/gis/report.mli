@@ -26,7 +26,7 @@
     reflect only this run. *)
 
 val schema : string
-(** ["spatialdb-report/5"]. *)
+(** ["spatialdb-report/6"]. *)
 
 type run
 (** A finished report run: what it computed, plus a snapshot of the
@@ -56,11 +56,9 @@ val execute :
     [samples_per_chain = Diag_run.default_samples_per_chain].
     [progress] additionally runs the live stderr ticker;
     [overrun_factor] tunes the budget watchdog (default 4).
-    [engine] is ["interp"] (default), ["vm"] or ["vm-opt"]; the
-    compiled engines run the draws through the instruction profiler
-    (timing mode) and embed the [spatialdb-profile/1] document under
-    the report's ["profile"] key, with rewrite tags on the
-    attribution rows.
+    [engine] is ["interp"] (default), ["vm"] or ["vm-opt"]; under
+    ["vm-opt"] sample and volume run on the rewritten plan, and the
+    attribution rows carry its rewrite tags.
     [Error reason] on parse errors or empty/unbounded relations. *)
 
 val render : run -> format -> string
@@ -100,7 +98,6 @@ type parts = {
   samples : float array list;
   volume : float option;  (** [None] when estimation failed *)
   diagnostics : Scdb_core.Diag_run.t option;
-  profile : string option;  (** the embedded profile document, compiled engines only *)
 }
 (** What {!generate} computed, before it is written out. *)
 

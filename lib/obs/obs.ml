@@ -155,19 +155,12 @@ module Status = struct
     r_spans : int;
   }
 
-  (* Coarse cross-engine acceptance signal: samples produced vs trials
-     spent, summed over whichever kernels ran. *)
+  (* Coarse acceptance signal: samples produced vs trials spent, summed
+     over whichever kernels ran. *)
   let accepted_counters =
-    [
-      "rejection.accepted";
-      "walk.accepted";
-      "ball_walk.accepted";
-      "union.samples";
-      "vm.draws";
-    ]
+    [ "rejection.accepted"; "walk.accepted"; "ball_walk.accepted"; "union.samples" ]
 
-  let attempt_counters =
-    [ "rejection.attempts"; "walk.proposals"; "union.trials"; "vm.trials" ]
+  let attempt_counters = [ "rejection.attempts"; "walk.proposals"; "union.trials" ]
 
   let sum_counters reg names =
     List.fold_left

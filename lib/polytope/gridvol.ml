@@ -44,6 +44,7 @@ let build ~gamma r =
           if acc > max_cells / Stdlib.max c 1 then invalid_arg "Gridvol.build: too many cells"
           else acc * c) 1 counts
       in
+      let mem = Relation.mem_float r in
       let members = ref [] in
       let index = Array.make dim 0 in
       let centre = Vec.create dim in
@@ -54,7 +55,7 @@ let build ~gamma r =
           for i = 0 to dim - 1 do
             centre.(i) <- lo.(i) +. ((float_of_int index.(i) +. 0.5) *. gamma)
           done;
-          if Relation.mem_float r centre then members := Array.copy index :: !members
+          if mem centre then members := Array.copy index :: !members
         end
         else
           for v = 0 to counts.(coord) - 1 do

@@ -417,12 +417,6 @@ module Kernel = struct
       if Array.length dir <> d then invalid_arg "Polytope.Kernel.Batch.set_dir";
       Array.blit dir 0 b.dir (c * d) d
 
-    let set_pos b c start =
-      let d = b.poly.dim in
-      if Array.length start <> d then invalid_arg "Polytope.Kernel.Batch.set_pos";
-      Array.blit start 0 b.x (c * d) d;
-      refresh_chain b c
-
     (* Both shared passes below ([chord_all], [propose_all]) open-code
        the same row × K-directions product: chains are processed in
        register blocks of four, so each matrix element is loaded once

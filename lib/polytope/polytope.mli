@@ -171,13 +171,6 @@ module Kernel : sig
     (** Stage chain [c]'s direction (or ball-walk displacement) into its
         slot of the chain-major direction block.  Allocation-free. *)
 
-    val set_pos : batch -> int -> Vec.t -> unit
-    (** [set_pos b c start]: reset chain [c] to [start] (copied) and
-        rebuild its cache block — equivalent to chain [c] of a fresh
-        {!make}, so a long-lived batch can be reused across draws
-        without re-running construction.
-        @raise Invalid_argument on dimension mismatch. *)
-
     val directions : batch -> float array
     (** The raw chain-major [K×dim] direction staging block; chain [c]
         owns [c·dim .. c·dim + dim − 1].  Writing a slot directly (e.g.

@@ -74,22 +74,6 @@ let with_node id f =
         f
   | None -> f ()
 
-let enter_path ids =
-  match armed_state (cur ()) with
-  | Some st ->
-      for i = 0 to Array.length ids - 1 do
-        st.stack <- Array.unsafe_get ids i :: st.stack
-      done
-  | None -> ()
-
-let exit_path ids =
-  match armed_state (cur ()) with
-  | Some st ->
-      for _ = 1 to Array.length ids do
-        match st.stack with _ :: rest -> st.stack <- rest | [] -> ()
-      done
-  | None -> ()
-
 let check_overrun st id =
   if (not st.warned.(id)) && st.budgets.(id) > 0.0 then begin
     let actual = st.steps.(id) +. st.trials.(id) in
@@ -124,16 +108,6 @@ let accrue cell n =
 
 let add_steps n = accrue (fun st -> st.steps) n
 let add_trials n = accrue (fun st -> st.trials) n
-
-let add_trials_on path n =
-  enter_path path;
-  add_trials n;
-  exit_path path
-
-let add_steps_on path n =
-  enter_path path;
-  add_steps n;
-  exit_path path
 
 (* -------------------------------------------------------------- *)
 (* Snapshots                                                       *)

@@ -47,29 +47,12 @@ val with_node : int -> (unit -> 'a) -> 'a
 (** Run a thunk with node [id] pushed on the attribution stack
     (exception-safe).  No-op wrapper when the bus is inactive. *)
 
-val enter_path : int array -> unit
-(** Push a whole ancestor path (ids in any order — accrual is a set
-    walk) onto the attribution stack without a closure.  Callers that
-    cannot afford {!with_node}'s [Fun.protect] (the VM's inner loop)
-    pair this with {!exit_path}; the array must be the same one.  No-op
-    when the bus is inactive. *)
-
-val exit_path : int array -> unit
-(** Pop [Array.length path] entries pushed by {!enter_path}. *)
-
 val add_steps : int -> unit
 (** Accrue walk steps to every node on the stack (to the root when the
     stack is empty). *)
 
 val add_trials : int -> unit
 (** Accrue rejection/acceptance trials likewise. *)
-
-val add_steps_on : int array -> int -> unit
-(** [enter_path p; add_steps n; exit_path p] — accrue to the path's
-    nodes {e and} whatever is already stacked beneath it. *)
-
-val add_trials_on : int array -> int -> unit
-(** Likewise for trials. *)
 
 (** {1 Snapshots} *)
 

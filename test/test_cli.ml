@@ -90,22 +90,20 @@ let usage_tests =
         check "method" 2 ("sample " ^ fig1 ^ " --method bogus"));
     t "unknown explain format/task exit 2" (fun () ->
         check "format" 2 ("explain " ^ fig1 ^ " --format bogus");
+        check "program format" 2 ("explain " ^ fig1 ^ " --format program");
         check "task" 2 ("explain " ^ fig1 ^ " --task bogus"));
     t "unknown report format exits 2" (fun () ->
         check "format" 2 ("report " ^ fig1 ^ " --format bogus"));
     t "unknown log level exits 2" (fun () ->
         check "level" 2 ("sample " ^ fig1 ^ " -n 1 --log-level bogus"));
-    t "unknown profile mode exits 2" (fun () ->
-        check "sample" 2 ("sample " ^ fig1 ^ " -n 1 --engine vm --profile=bogus");
-        check "profile cmd" 2 ("profile " ^ fig1 ^ " -n 1 --mode bogus"));
-    t "profile rejects the interpreter engine" (fun () ->
-        check "profile cmd" 2 ("profile " ^ fig1 ^ " -n 1 --engine interp"));
   ]
 
 let cmdline_tests =
   [
     t "unknown flag exits 124" (fun () -> check "flag" 124 ("explain " ^ fig1 ^ " --bogus-flag"));
-    t "unknown subcommand exits 124" (fun () -> check "subcommand" 124 "frobnicate");
+    t "unknown subcommand exits 124" (fun () ->
+        check "subcommand" 124 "frobnicate";
+        check "profile" 124 ("profile " ^ fig1 ^ " -n 1"));
     t "missing required arguments exit 124" (fun () -> check "no args" 124 "sample");
   ]
 
@@ -115,23 +113,12 @@ let runtime_tests =
         check "parse" 1 "explain -v x -f \"x >= nonsense\"");
     t "empty relation exits 1" (fun () ->
         check "empty" 1 "sample -v x -f \"x >= 1 /\\ x <= 0\" -n 1");
-    t "sample --profile under interp exits 1" (fun () ->
-        check "interp" 1 ("sample " ^ fig1 ^ " -n 1 --profile"));
   ]
 
+(* The suite keeps the name it had when it also covered the instruction
+   profiler. *)
 let profile_tests =
   [
-    t "profile exits 0 and writes a document" (fun () ->
-        let out = Filename.temp_file "spatialdb_profile" ".json" in
-        check "run" 0 ("profile " ^ fig1 ^ " -n 2 --out " ^ Filename.quote out);
-        let ic = open_in out in
-        let len = in_channel_length ic in
-        close_in ic;
-        Alcotest.(check bool) "document non-empty" true (len > 0);
-        Sys.remove out);
-    t "sample --profile exits 0 under both compiled engines" (fun () ->
-        check "vm" 0 ("sample " ^ fig1 ^ " -n 2 --engine vm --profile=counting");
-        check "vm-opt" 0 ("sample " ^ fig1 ^ " -n 2 --engine vm-opt --profile"));
     t "report --engine vm-opt exits 0, interp rejects bogus engine" (fun () ->
         check "vm-opt" 0 ("report " ^ fig1 ^ " -n 2 --engine vm-opt -o /dev/null");
         check "bogus" 2 ("report " ^ fig1 ^ " -n 2 --engine bogus"));
@@ -178,16 +165,19 @@ let validate_tests =
             accepts "report" (q vmopt);
             let doc = In_channel.with_open_bin interp In_channel.input_all in
             Out_channel.with_open_bin broken (fun oc -> output_string oc (null_after "\"rhat\": [" doc));
-            Alcotest.(check int) "null R-hat rejected" 1 (validate ("report " ^ q broken))
+            Alcotest.(check int) "null R-hat rejected" 1 (validate ("report " ^ q broken));
+            (* report/6 has no profile block under any engine. *)
+            let profiled = "{\n  \"profile\": null," ^ String.sub doc 1 (String.length doc - 1) in
+            Out_channel.with_open_bin broken (fun oc -> output_string oc profiled);
+            Alcotest.(check int) "profile block rejected" 1 (validate ("report " ^ q broken))
         | _ -> assert false);
-    t "validate accepts a fresh plan and profile" (fun () ->
-        with_files [ ".json"; ".json" ] @@ function
-        | [ plan; profile ] ->
+    t "validate accepts a fresh plan, and no longer knows profiles" (fun () ->
+        with_files [ ".json" ] @@ function
+        | [ plan ] ->
             Alcotest.(check int) "explain" 0
               (Sys.command (q binary ^ " explain " ^ fig1 ^ " --format json > " ^ q plan));
             accepts "plan" (q plan);
-            check "profile" 0 ("profile " ^ union ^ " -n 5 --seed 42 --out " ^ q profile);
-            accepts "profile" (q profile)
+            Alcotest.(check int) "profile subcommand" 1 (validate ("profile " ^ q plan))
         | _ -> assert false);
     t "validate accepts fresh logs, metrics and status" (fun () ->
         with_files [ ".jsonl"; ".prom"; ".json" ] @@ function
@@ -322,6 +312,58 @@ let stream_tests =
           ]);
   ]
 
+(* ---------------- rewrite tags ---------------- *)
+
+(* A strict and a non-strict copy of the triangle: vm-opt shares one
+   leaf's piece and weight with the other. *)
+let duplicate_leaf =
+  "(x > 0 /\\ y > 0 /\\ x + y < 1) \\/ (x >= 0 /\\ y >= 0 /\\ x + y <= 1) \\/ (2 <= x /\\ x \
+   <= 3 /\\ 0 <= y /\\ y <= 1)"
+
+let engine_tests =
+  [
+    t "vm-opt attribution carries the rewritten plan's tags (sample --progress, report)" (fun () ->
+        let progress_table engine formula =
+          let code, _, err =
+            capture
+              (Printf.sprintf "sample -v x,y -f %s -n 20 --seed 42 --engine %s --progress"
+                 (Filename.quote formula) engine)
+          in
+          Alcotest.(check int) (engine ^ " sample exit") 0 code;
+          err
+        in
+        List.iter
+          (fun (formula, tag) ->
+            Alcotest.(check bool) (tag ^ " in the --progress table") true
+              (Test_flight.contains (progress_table "vm-opt" formula) tag);
+            Alcotest.(check bool) (tag ^ " not under vm") false
+              (Test_flight.contains (progress_table "vm" formula) tag);
+            with_files [ ".json" ] @@ function
+            | [ out ] ->
+                check "report" 0
+                  (Printf.sprintf "report -v x,y -f %s -n 20 --seed 42 --engine vm-opt -o %s"
+                     (Filename.quote formula) (Filename.quote out));
+                let rows =
+                  match
+                    Scdb_json.Json.member "cost_attribution"
+                      (Scdb_json.Json.parse (In_channel.with_open_bin out In_channel.input_all))
+                  with
+                  | Some (Scdb_json.Json.Arr rows) -> rows
+                  | _ -> Alcotest.fail "report has no cost_attribution array"
+                in
+                let tags =
+                  List.concat_map
+                    (fun row ->
+                      match Scdb_json.Json.member "tags" row with
+                      | Some (Scdb_json.Json.Arr ts) -> List.filter_map Scdb_json.Json.to_string ts
+                      | _ -> [])
+                    rows
+                in
+                Alcotest.(check bool) (tag ^ " on a report row") true (List.mem tag tags)
+            | _ -> assert false)
+          [ (fig1_union, "rejection_box_substituted"); (duplicate_leaf, "shared_union_leaf") ]);
+  ]
+
 let suites =
   [
     ("cli.success", success_tests);
@@ -331,4 +373,5 @@ let suites =
     ("cli.profile", profile_tests);
     ("cli.validate", validate_tests);
     ("cli.stream", stream_tests);
+    ("cli.engine", engine_tests);
   ]

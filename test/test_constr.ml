@@ -322,6 +322,70 @@ let relation_tests =
         Alcotest.(check bool) "cross out" false (Relation.mem c [| qi 3 4; qi 3 4 |]));
   ]
 
+(* The packed [Relation.mem_float] against the per-atom reference
+   [Dnf.tuple_holds_float], on random 3-D relations (∧/∨ over
+   Le/Lt/Eq atoms with rational coefficients).  Test points include,
+   for every atom, one solved onto its float boundary and its one-ulp
+   neighbours on the solved coordinate, where a different summation
+   order would flip the answer. *)
+let packed_mem_tests =
+  let module R = Scdb_rng.Rng in
+  let coeff rng =
+    match R.int rng 3 with
+    | 0 -> q (R.int rng 7 - 3)
+    | 1 -> qi (R.int rng 13 - 6) 3
+    | _ -> qi (R.int rng 29 - 14) 7
+  in
+  let atom rng =
+    let te = Term.make (List.init 3 (fun i -> (i, coeff rng))) (coeff rng) in
+    Atom.make te (match R.int rng 3 with 0 -> Atom.Le | 1 -> Atom.Lt | _ -> Atom.Eq)
+  in
+  let rec gen rng depth =
+    if depth = 0 || R.int rng 3 = 0 then Formula.atom (atom rng)
+    else if R.int rng 2 = 0 then Formula.conj [ gen rng (depth - 1); gen rng (depth - 1) ]
+    else Formula.disj [ gen rng (depth - 1); gen rng (depth - 1) ]
+  in
+  (* Points on the float boundary of [a]: solve its last variable with a
+     non-zero coefficient, then step one ulp either way. *)
+  let boundary rng (a : Atom.t) =
+    let x = Array.init 3 (fun _ -> R.uniform rng (-2.0) 2.0) in
+    match List.rev (Term.coeffs a.Atom.term) with
+    | [] -> [ x ]
+    | (j, c) :: _ ->
+        x.(j) <- 0.0;
+        let v = Term.eval_float a.Atom.term x in
+        x.(j) <- -.v /. Q.to_float c;
+        let step f = let y = Array.copy x in y.(j) <- f y.(j); y in
+        [ x; step Float.succ; step Float.pred ]
+  in
+  let reference ~slack r x =
+    List.exists (fun t -> Dnf.tuple_holds_float ~slack t x) (Relation.tuples r)
+  in
+  [
+    qt ~count:300 "packed mem_float answers as the per-atom reference"
+      (QCheck.make QCheck.Gen.(int_range 0 1_000_000))
+      (fun seed ->
+        let rng = R.create seed in
+        let r = Relation.of_formula ~dim:3 (gen rng 3) in
+        let atoms = List.concat (Relation.tuples r) in
+        let points =
+          List.init 8 (fun _ -> Array.init 3 (fun _ -> float_of_int (R.int rng 9 - 4) /. 2.0))
+          @ List.concat_map (boundary rng) atoms
+        in
+        List.for_all
+          (fun slack ->
+            let mem = Relation.mem_float ~slack r in
+            List.for_all (fun x -> mem x = reference ~slack r x) points)
+          [ 0.0; 1e-9 ]);
+    t "a packed relation is reused across points" (fun () ->
+        let r =
+          Relation.union (Relation.box [| q 0; q 0 |] [| q 1; q 1 |]) (Relation.standard_simplex 2)
+        in
+        let mem = Relation.mem_float r in
+        Alcotest.(check (list bool)) "answers" [ true; true; false; true ]
+          (List.map mem [ [| 0.5; 0.5 |]; [| 1.0; 0.0 |]; [| 1.5; 0.0 |]; [| 0.0; 0.0 |] ]));
+  ]
+
 let parser_tests =
   [
     t "operator precedence" (fun () ->
@@ -425,5 +489,6 @@ let suites =
     ("constr.formula", formula_tests);
     ("constr.dnf", dnf_tests);
     ("constr.relation", relation_tests);
+    ("constr.mem_float", packed_mem_tests);
     ("constr.parser", parser_tests);
   ]

@@ -361,7 +361,6 @@ let emitter_tests =
             samples = [ [| Float.nan; Float.infinity |]; [| Float.neg_infinity; 0.5 |] ];
             volume = Some Float.nan;
             diagnostics = Some (diag_doc ());
-            profile = None;
           }
         in
         let doc = parse "report" (R.to_json ~chrome:(Trace.to_chrome_json ~spans:[] ()) parts) in

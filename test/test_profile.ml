@@ -1,17 +1,15 @@
-(* Tests for the instruction profiler and the symbolization table: every
-   pc must map to a live plan node, the strict VM's per-node progress
-   actuals must equal the interpreter's (the per-leaf attribution fix),
-   profiling must never perturb the sample stream, and the perf-trend
-   ledger must flag drifting trajectories. *)
+(* Attribution under the engine names, and the perf-trend ledger: the
+   [vm] engine's per-node progress actuals must equal the interpreter's,
+   rewrite tags come from the executed plan's nodes, and the ledger
+   must flag drifting trajectories.  (The suites keep the names they had
+   when an instruction profiler attributed a compiled engine.) *)
 
 open Scdb_core
 module Rng = Scdb_rng.Rng
 module Plan = Scdb_plan.Plan
 module Vm = Scdb_vm.Vm
-module Profile = Scdb_profile.Profile
 module Plan_exec = Scdb_gis.Plan_exec
 module Progress = Scdb_progress.Progress
-module Flightrec = Scdb_log.Flightrec
 
 let t name f = Alcotest.test_case name `Quick f
 let ts name f = Alcotest.test_case name `Slow f
@@ -19,7 +17,7 @@ let ts name f = Alcotest.test_case name `Slow f
 let cfg = Convex_obs.practical_config
 
 (* Same disjoint-box layout as test_vm: K ∈ {1,4,16} exercises one-leaf
-   collapse, small unions and wide dispatch tables. *)
+   collapse, small unions and wide ones. *)
 let boxes_formula rng k =
   String.concat " \\/ "
     (List.init k (fun i ->
@@ -33,154 +31,45 @@ let fig1_union =
 
 let relation_of formula = Relation.of_formula ~dim:2 (Parser.parse ~vars:[ "x"; "y" ] formula)
 
-let compile_ok ?(optimize = false) ~task ~seed formula =
+let compile_ok ?(engine = "vm") ~task ~seed formula =
   let rng = Rng.create seed in
   match
-    Plan_exec.compiled_of_relation ~config:cfg ~optimize ~gamma:0.05 ~eps:0.2 ~delta:0.1 ~task
-      rng (relation_of formula)
+    Plan_exec.engine_of_relation ~config:cfg ~engine ~gamma:0.05 ~eps:0.2 ~delta:0.1 ~task rng
+      (relation_of formula)
   with
-  | Some (plan, Ok prog) -> (plan, prog, rng)
-  | Some (_, Error m) -> Alcotest.failf "compile failed: %s" m
-  | None -> Alcotest.fail "fixture relation is empty"
-
-let known_tags = [ "rejection_box_substituted"; "shared_union_leaf" ]
+  | Ok prog -> (Vm.plan prog, prog, rng)
+  | Error m -> Alcotest.failf "%s: %s" engine m
 
 (* ------------------------------------------------------------------ *)
-(* Symbolization                                                       *)
+(* Rewrite tags                                                        *)
 (* ------------------------------------------------------------------ *)
+
+(* The attribution rows of a short run, tags read off the executed plan. *)
+let tags_of ~engine formula =
+  let plan, prog, rng = compile_ok ~engine ~task:(Plan.Sample 2) ~seed:7 formula in
+  Plan_exec.arm plan;
+  ignore (Vm.sample_many prog rng ~n:2);
+  let rows = Plan_exec.attribution plan in
+  Progress.stop ();
+  List.concat_map (fun (r : Plan_exec.attribution_row) -> r.Plan_exec.tags) (Array.to_list rows)
 
 let symbolization_tests =
-  let check_program ~what plan prog =
-    let bases = Vm.instruction_bases prog in
-    Alcotest.(check bool) (what ^ ": program non-empty") true (Array.length bases > 0);
-    Array.iter
-      (fun pc ->
-        let node = Vm.node_at prog pc in
-        (match Plan.find_node plan node with
-        | Some _ -> ()
-        | None -> Alcotest.failf "%s: pc %d maps to node %d not present in the plan" what pc node);
-        match Vm.tag_at prog pc with
-        | None -> ()
-        | Some tag ->
-            if not (List.mem tag known_tags) then
-              Alcotest.failf "%s: pc %d carries unknown tag %S" what pc tag)
-      bases
-  in
   [
-    t "every pc maps to a live plan node (strict and optimized, K in {1,4,16})" (fun () ->
-        let layout = Rng.create 99 in
-        List.iter
-          (fun k ->
-            let formula = boxes_formula layout k in
-            List.iter
-              (fun optimize ->
-                let what = Printf.sprintf "K=%d %s" k (if optimize then "vm-opt" else "vm") in
-                let plan, prog, _ =
-                  compile_ok ~optimize ~task:(Plan.Sample 2) ~seed:(1000 + k) formula
-                in
-                check_program ~what plan prog)
-              [ false; true ])
-          [ 1; 4; 16 ]);
     t "vm-opt tags rejection-box substitution on the Figure 1 union" (fun () ->
-        let _, prog, _ = compile_ok ~optimize:true ~task:(Plan.Sample 2) ~seed:7 fig1_union in
-        let tags = List.concat_map snd (Vm.rewrite_tags prog) in
         Alcotest.(check bool)
-          "some instruction is tagged" true
-          (List.mem "rejection_box_substituted" tags));
+          "some node is tagged" true
+          (List.mem "rejection_box_substituted" (tags_of ~engine:"vm-opt" fig1_union)));
     t "strict vm carries no rewrite tags" (fun () ->
-        let _, prog, _ = compile_ok ~task:(Plan.Sample 2) ~seed:7 fig1_union in
-        Alcotest.(check (list string)) "no tags" [] (List.concat_map snd (Vm.rewrite_tags prog)));
-    t "annotated disassembly names nodes and tags" (fun () ->
-        let _, prog, _ = compile_ok ~optimize:true ~task:(Plan.Sample 2) ~seed:7 fig1_union in
-        let text = Vm.disassemble prog in
-        let has needle =
-          let ln = String.length needle and lt = String.length text in
-          let rec go i = i + ln <= lt && (String.sub text i ln = needle || go (i + 1)) in
-          go 0
-        in
-        Alcotest.(check bool) "node annotation" true (has "; n0");
-        Alcotest.(check bool) "tag annotation" true (has "rejection_box_substituted"));
+        Alcotest.(check (list string)) "no tags" [] (tags_of ~engine:"vm" fig1_union));
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Counting mode                                                       *)
+(* Per-node attribution: vm vs interpreter                             *)
 (* ------------------------------------------------------------------ *)
 
-let counting_tests =
-  [
-    t "counting totals agree across the pc/opcode/node views" (fun () ->
-        let n = 8 in
-        let _, prog, rng = compile_ok ~task:(Plan.Sample n) ~seed:21 fig1_union in
-        let profile = Profile.create prog in
-        ignore (Profile.sample_many profile rng ~n);
-        let total = Profile.total_count profile in
-        Alcotest.(check bool) "instructions executed" true (total > 0);
-        let sum_pc =
-          Array.fold_left (fun a (r : Profile.pc_row) -> a + r.Profile.count) 0
-            (Profile.pc_rows profile)
-        in
-        let sum_op =
-          List.fold_left (fun a (r : Profile.opcode_row) -> a + r.Profile.op_count) 0
-            (Profile.per_opcode profile)
-        in
-        let sum_node =
-          List.fold_left (fun a (r : Profile.node_row) -> a + r.Profile.instructions) 0
-            (Profile.per_node profile)
-        in
-        Alcotest.(check int) "pc view" total sum_pc;
-        Alcotest.(check int) "opcode view" total sum_op;
-        Alcotest.(check int) "node view" total sum_node;
-        Alcotest.(check (float 0.0)) "no ns in counting mode" 0.0 (Profile.total_ns profile);
-        let emits =
-          List.filter_map
-            (fun (r : Profile.opcode_row) ->
-              if r.Profile.op_name = "emit" then Some r.Profile.op_count else None)
-            (Profile.per_opcode profile)
-        in
-        Alcotest.(check (list int)) "one emit per draw" [ n ] emits);
-    t "pc_rows covers every instruction, ascending" (fun () ->
-        let _, prog, rng = compile_ok ~task:(Plan.Sample 2) ~seed:22 fig1_union in
-        let profile = Profile.create prog in
-        ignore (Profile.sample_many profile rng ~n:2);
-        let rows = Profile.pc_rows profile in
-        let bases = Vm.instruction_bases prog in
-        Alcotest.(check int) "coverage" (Array.length bases) (Array.length rows);
-        Array.iteri
-          (fun i (r : Profile.pc_row) ->
-            Alcotest.(check int) (Printf.sprintf "row %d pc" i) bases.(i) r.Profile.pc)
-          rows);
-    t "vm.op telemetry counters track executed instructions" (fun () ->
-        let module Tel = Scdb_telemetry.Telemetry in
-        let was = Tel.enabled () in
-        Tel.set_enabled true;
-        Tel.reset ();
-        let n = 4 in
-        let _, prog, rng = compile_ok ~task:(Plan.Sample n) ~seed:23 fig1_union in
-        let profile = Profile.create prog in
-        ignore (Profile.sample_many profile rng ~n);
-        let counted =
-          List.fold_left
-            (fun acc (r : Profile.opcode_row) ->
-              let tel =
-                Option.value ~default:0 (Tel.counter_value ("vm.op." ^ r.Profile.op_name))
-              in
-              Alcotest.(check int) ("vm.op." ^ r.Profile.op_name) r.Profile.op_count tel;
-              acc + tel)
-            0 (Profile.per_opcode profile)
-        in
-        Tel.set_enabled was;
-        Alcotest.(check int) "telemetry total" (Profile.total_count profile) counted);
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Per-node attribution: strict VM vs interpreter                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The strict VM mirrors the interpreter draw for draw, so with the
-   progress bus armed both engines must accrue identical per-node
-   actuals — this is the differential check that WALK/TICK route
-   work through the per-leaf symbolization paths rather than dumping
-   everything on the root. *)
+(* With the progress bus armed, the [vm] engine and the interpreter
+   driven by hand must accrue identical per-node actuals, each leaf on
+   its own node rather than everything on the root. *)
 let attribution_case k n () =
   let formula = boxes_formula (Rng.create 99) k in
   let task = Plan.Sample n in
@@ -204,7 +93,7 @@ let attribution_case k n () =
     let plan, prog, rng = compile_ok ~task ~seed formula in
     Plan_exec.arm plan;
     ignore (Vm.sample_many prog rng ~n);
-    let rows = Plan_exec.attribution ~program:prog plan in
+    let rows = Plan_exec.attribution plan in
     Progress.stop ();
     rows
   in
@@ -240,52 +129,6 @@ let attribution_tests =
               (Printf.sprintf "leaf %d ran" r.Plan_exec.id)
               true (r.Plan_exec.actual > 0.0))
           leaves);
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Stream preservation                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let check_streams what expected actual =
-  match Flightrec.compare_samples ~recorded:expected ~replayed:actual with
-  | Ok _ -> ()
-  | Error m -> Alcotest.failf "%s: %s" what m
-
-let stream_tests =
-  [
-    t "profiled runs emit the bit-identical stream (counting and timing)" (fun () ->
-        let n = 6 in
-        List.iter
-          (fun optimize ->
-            let plain =
-              let _, prog, rng = compile_ok ~optimize ~task:(Plan.Sample n) ~seed:41 fig1_union in
-              Vm.sample_many prog rng ~n
-            in
-            List.iter
-              (fun mode ->
-                let _, prog, rng =
-                  compile_ok ~optimize ~task:(Plan.Sample n) ~seed:41 fig1_union
-                in
-                let profile = Profile.create ~mode prog in
-                let pts = Profile.sample_many profile rng ~n in
-                check_streams
-                  (Printf.sprintf "%s/%s"
-                     (if optimize then "vm-opt" else "vm")
-                     (Profile.mode_name mode))
-                  plain pts;
-                Alcotest.(check int) "draws recorded" n (Profile.draws profile))
-              [ Profile.Counting; Profile.Timing ])
-          [ false; true ]);
-    t "timing mode accumulates ns on the kernel opcodes" (fun () ->
-        let _, prog, rng = compile_ok ~task:(Plan.Sample 8) ~seed:42 fig1_union in
-        let profile = Profile.create ~mode:Profile.Timing prog in
-        ignore (Profile.sample_many profile rng ~n:8);
-        Alcotest.(check bool) "total ns positive" true (Profile.total_ns profile > 0.0);
-        Array.iter
-          (fun (r : Profile.pc_row) ->
-            if Float.is_nan r.Profile.ns || r.Profile.ns < 0.0 then
-              Alcotest.failf "pc %d has bad ns %g" r.Profile.pc r.Profile.ns)
-          (Profile.pc_rows profile));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -380,8 +223,6 @@ let trend_tests =
 let suites =
   [
     ("profile.symbolization", symbolization_tests);
-    ("profile.counting", counting_tests);
     ("profile.attribution", attribution_tests);
-    ("profile.stream", stream_tests);
     ("profile.trend", trend_tests);
   ]

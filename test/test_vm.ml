@@ -1,8 +1,8 @@
-(* Differential tests for the plan→kernel VM: the strict engine must be
-   a bit-exact mirror of the observable interpreter (same rng stream,
-   same sample stream), the optimized engine must equal the interpreter
-   on the rewritten plan, and committed flight records must replay
-   through both engines. *)
+(* Tests for the engine names over the one interpreter: [vm] draws the
+   interpreter's stream (same rng stream, same sample stream), [vm-opt]
+   is the interpreter on the rewritten plan, the [Vm] entry point
+   refuses what it cannot execute, and committed flight records replay
+   under every name they were recorded with. *)
 
 open Scdb_core
 module P = Scdb_polytope.Polytope
@@ -98,10 +98,10 @@ let mirror_tests =
           (Rng.draw_count ov.Flight.rng));
   ]
 
-(* The interpreter on the rewritten plan is vm-opt's oracle: the same
-   seed builds the same plan and pieces twice; one copy runs
-   [Plan_obs.rewrite] and the interpreter, the other [Vm.compile
-   ~optimize:true].  [expect] names a rewrite the plan must carry. *)
+(* vm-opt is the interpreter on the rewritten plan: the same seed builds
+   the same plan and pieces twice; one copy runs [Plan_obs.rewrite] and
+   the interpreter by hand, the other [Vm.compile ~optimize:true].
+   [expect] names a rewrite the plan must carry. *)
 let oracle_case ~seed ~n ~expect formula =
   let relation =
     Relation.of_formula ~dim:2 (Scdb_constr.Parser.parse ~vars:[ "x"; "y" ] formula)
@@ -158,24 +158,24 @@ let opt_tests =
           o1.Flight.points;
         Alcotest.(check int) "count" 12 (List.length o1.Flight.points));
     t "vm-opt swaps cheap low-dimensional leaves to rejection-box" (fun () ->
-        let rng = Rng.create 9 in
         let relation = Relation.of_formula ~dim:2
             (Scdb_constr.Parser.parse ~vars:[ "x"; "y" ] "x >= 0 /\\ y >= 0 /\\ x + y <= 1")
         in
-        match
-          Plan_exec.compiled_of_relation ~config:cfg ~optimize:true ~gamma:0.05 ~eps:0.2
-            ~delta:0.1 ~task:(Plan.Sample 4) rng relation
-        with
-        | Some (_, Ok prog) ->
-            Alcotest.(check bool) "optimized" true (Vm.optimized prog);
-            Alcotest.(check bool) "listing mentions rejection-box" true
-              (let s = Vm.disassemble prog in
-               let n = String.length s and pat = "rejection-box" in
-               let k = String.length pat in
-               let rec go i = i + k <= n && (String.sub s i k = pat || go (i + 1)) in
-               go 0)
-        | Some (_, Error m) -> Alcotest.failf "compile failed: %s" m
-        | None -> Alcotest.fail "relation should be compilable");
+        let rewrites engine =
+          match
+            Plan_exec.engine_of_relation ~config:cfg ~engine ~gamma:0.05 ~eps:0.2 ~delta:0.1
+              ~task:(Plan.Sample 4) (Rng.create 9) relation
+          with
+          | Ok prog ->
+              let acc = ref [] in
+              Plan.iter_nodes (fun n -> acc := n.Plan.rewrite :: !acc) (Vm.plan prog);
+              !acc
+          | Error m -> Alcotest.failf "%s: %s" engine m
+        in
+        Alcotest.(check bool) "vm-opt executes a rejection-box leaf" true
+          (List.mem Plan.Rejection_box (rewrites "vm-opt"));
+        Alcotest.(check bool) "vm executes the plan as built" true
+          (List.for_all (( = ) Plan.Kept) (rewrites "vm")));
   ]
 
 let compile_tests =
@@ -200,37 +200,14 @@ let compile_tests =
         match Vm.compile ~plan ~pieces:[| prep |] () with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "expected a task error");
-    t "intersection plans are refused" (fun () ->
-        let rng = Rng.create 13 in
-        let prep () = Option.get (Convex_obs.prepare ~config:cfg rng (box2 0.0 1.0 0.0 1.0)) in
-        let leaf () = Plan.dfk ~eps:0.2 ~delta:0.1 ~dim:2 ~method_:"walk" ~volume_budget:2000 () in
+    t "grid plans are refused: the interpreter has no grid node" (fun () ->
         let plan =
           Plan.finalize ~gamma:0.05 ~eps:0.2 ~delta:0.1 ~task:(Plan.Sample 1)
-            (Plan.inter_ ~eps:0.2 ~delta:0.1 [ leaf (); leaf () ])
+            (Plan.grid_leaf ~dim:2 ~cells:16.0)
         in
-        match Vm.compile ~plan ~pieces:[| prep (); prep () |] () with
+        match Vm.compile ~plan ~pieces:[||] () with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "expected an unsupported-operator error");
-    t "instruction_count and disassembly agree" (fun () ->
-        let rng = Rng.create 12 in
-        let relation = Relation.unit_cube 2 in
-        match
-          Plan_exec.compiled_of_relation ~config:cfg ~gamma:0.05 ~eps:0.2 ~delta:0.1
-            ~task:(Plan.Sample 1) rng relation
-        with
-        | Some (_, Ok prog) ->
-            let listing = Vm.disassemble prog in
-            let lines =
-              List.filter
-                (fun l -> String.length l > 0 && l.[0] <> ';')
-                (String.split_on_char '\n' listing)
-            in
-            Alcotest.(check int) "one line per instruction" (Vm.instruction_count prog)
-              (List.length lines);
-            Alcotest.(check int) "dim" 2 (Vm.dim prog);
-            Alcotest.(check bool) "strict by default" false (Vm.optimized prog)
-        | Some (_, Error m) -> Alcotest.failf "compile failed: %s" m
-        | None -> Alcotest.fail "unit cube should be compilable");
   ]
 
 let fixture_tests =
@@ -259,8 +236,9 @@ let fixture_tests =
   ]
 
 (* Exact leaf weights (Theorem 3.1 R2): on the Fig. 1 union both leaves
-   are cheap Lasserre bodies, so every executor's weight prologue reads
-   the exact volumes 1/2 and 1 and draws nothing. *)
+   are cheap Lasserre bodies, so the weight prologue reads the exact
+   volumes 1/2 and 1 and draws nothing, on the plan as built and on its
+   rewrite. *)
 let fig1_union =
   Relation.of_formula ~dim:2
     (Scdb_constr.Parser.parse ~vars:[ "x"; "y" ]
@@ -285,37 +263,24 @@ let exact_tests =
         let kids = plan.Plan.root.Plan.children in
         Alcotest.(check (list bool)) "both leaves exact" [ true; true ]
           (List.map Plan.is_exact kids);
-        (* The interpreter's Karp–Luby prologue: each child volume at
-           (ε/3, δ/4m), as Union.sample asks for it. *)
-        let obs = Plan_obs.observables plan pieces in
-        let before = Rng.draw_count rng in
-        let w =
-          Array.of_list
-            (List.map
-               (fun (c : Plan.node) ->
-                 Observable.volume obs.(c.Plan.id) ~gamma rng ~eps:(eps /. 3.0)
-                   ~delta:(delta /. 8.0))
-               kids)
-        in
-        Alcotest.(check int) "interp prologue draws" 0 (Rng.draw_count rng - before);
-        Alcotest.(check (list (float 0.0))) "interp weights" [ 0.5; 1.0 ] (sorted_weights w);
+        (* The Karp–Luby prologue: each child volume at (ε/3, δ/4m), as
+           Union.sample asks for it. *)
         List.iter
-          (fun optimize ->
-            let rng = Rng.create 42 in
-            let plan, pieces = build rng in
-            let prog =
-              match Vm.compile ~optimize ~plan ~pieces () with
-              | Ok p -> p
-              | Error m -> Alcotest.failf "compile failed: %s" m
-            in
+          (fun (name, plan) ->
+            let obs = Plan_obs.observables plan pieces in
             let before = Rng.draw_count rng in
-            let slots = Vm.weights prog rng in
-            let name = if optimize then "vm-opt" else "vm" in
+            let w =
+              Array.of_list
+                (List.map
+                   (fun (c : Plan.node) ->
+                     Observable.volume obs.(c.Plan.id) ~gamma rng ~eps:(eps /. 3.0)
+                       ~delta:(delta /. 8.0))
+                   kids)
+            in
             Alcotest.(check int) (name ^ " prologue draws") 0 (Rng.draw_count rng - before);
-            Alcotest.(check int) (name ^ " weight slots") 1 (Array.length slots);
             Alcotest.(check (list (float 0.0))) (name ^ " weights") [ 0.5; 1.0 ]
-              (sorted_weights slots.(0)))
-          [ false; true ]);
+              (sorted_weights w))
+          [ ("vm", plan); ("vm-opt", Plan_obs.rewrite plan pieces) ]);
   ]
 
 let suites =
