@@ -870,7 +870,7 @@ let run ~fast ~out ~check ~metrics_out =
   let diagnostics = diagnostics_block ~fast ~poly in
   (* JSON out. *)
   let oc = open_out out in
-  Printf.fprintf oc "{\n  \"schema\": \"spatialdb-bench/7\",\n  \"results\": [\n";
+  Printf.fprintf oc "{\n  \"schema\": \"spatialdb-bench/8\",\n  \"results\": [\n";
   List.iteri
     (fun i r ->
       Printf.fprintf oc "    {\"name\": %S, \"ns_per_op\": %.3f, \"trials\": %d}%s\n" r.name

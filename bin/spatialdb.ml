@@ -930,9 +930,8 @@ let explain_cmd =
                estimation) or $(b,report) (both)." in
     Arg.(value & opt string "sample" & info [ "task" ] ~docv:"TASK" ~doc)
   in
-  let run vars_s formula n seed eps delta method_ engine format task_s =
+  let run vars_s formula n seed eps delta method_ format task_s =
     check_method method_;
-    check_engine engine;
     if not (List.mem format [ "tree"; "json" ]) then usage_die "format" format [ "tree"; "json" ];
     let task =
       match task_s with
@@ -952,15 +951,15 @@ let explain_cmd =
     (* The plan is built over the prepared pieces (the rng-consuming
        rounding half), so explain takes the seed the run would use. *)
     let rng = Rng.create seed in
-      match
-        Scdb_gis.Plan_build.of_relation ~config ~gamma:Flight.gamma ~eps ~delta ~task rng relation
-      with
-      | None -> or_die (Error "relation is empty, unbounded or lower-dimensional")
-      | Some (plan, _) ->
-          print_string
-            (match format with
-            | "json" -> Scdb_plan.Plan.to_json plan
-            | _ -> Scdb_plan.Plan.to_text_tree plan)
+    match
+      Scdb_gis.Plan_build.of_relation ~config ~gamma:Flight.gamma ~eps ~delta ~task rng relation
+    with
+    | None -> or_die (Error "relation is empty, unbounded or lower-dimensional")
+    | Some (plan, _) ->
+        print_string
+          (match format with
+          | "json" -> Scdb_plan.Plan.to_json plan
+          | _ -> Scdb_plan.Plan.to_text_tree plan)
   in
   let doc =
     "Show the query plan and its paper-derived cost estimates (predicted walk steps, trials, \
@@ -970,7 +969,7 @@ let explain_cmd =
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
       const run $ vars_arg $ formula_arg $ n_arg $ seed_arg $ eps_arg $ delta_arg $ method_arg
-      $ engine_arg $ format_arg $ task_arg)
+      $ format_arg $ task_arg)
 
 let () =
   let doc = "uniform generation and volume estimation in spatial constraint databases" in

@@ -67,35 +67,40 @@ let read_fixture name =
 let box2 x0 x1 y0 y1 =
   P.box [| x0; y0 |] [| x1; y1 |]
 
-let union_case ~seed ~k ~n =
-  let formula = boxes_formula (Rng.create (1000 + k)) k in
-  let oi = run_ok (flight_args ~seed ~n formula) in
-  let ov = run_ok (flight_args ~engine:"vm" ~seed ~n formula) in
-  check_streams (Printf.sprintf "union K=%d streams" k) oi.Flight.points ov.Flight.points;
-  Alcotest.(check int)
-    (Printf.sprintf "union K=%d draw counts" k)
-    (Rng.draw_count oi.Flight.rng) (Rng.draw_count ov.Flight.rng)
+(* [vm] is another name for the interpreter on the plan as built: under
+   each sampler it must execute the same plan as [interp] and draw the
+   same first points from the same seed.  The streams themselves are
+   pinned by replaying the committed flight records (fixture_tests). *)
+let same_engine_case ?(sampler = Convex_obs.Hit_and_run) ~seed formula =
+  let relation =
+    Relation.of_formula ~dim:2 (Scdb_constr.Parser.parse ~vars:[ "x"; "y" ] formula)
+  in
+  let config = { cfg with Convex_obs.sampler } in
+  let run engine =
+    let rng = Rng.create seed in
+    match
+      Plan_exec.engine_of_relation ~config ~engine ~gamma:0.05 ~eps:0.2 ~delta:0.1
+        ~task:(Plan.Sample 2) rng relation
+    with
+    | Ok prog -> (Plan.to_json (Vm.plan prog), Vm.sample_many prog rng ~n:2, Rng.draw_count rng)
+    | Error m -> Alcotest.failf "%s: %s" engine m
+  in
+  let plan_i, pts_i, draws_i = run "interp" and plan_v, pts_v, draws_v = run "vm" in
+  Alcotest.(check string) (formula ^ ": same plan") plan_i plan_v;
+  check_streams (formula ^ ": first points") pts_i pts_v;
+  Alcotest.(check int) (formula ^ ": draw counts") draws_i draws_v
 
 let mirror_tests =
   [
-    ts "union plans: vm mirrors the interpreter bit-for-bit (K = 1, 4, 16)" (fun () ->
-        List.iter (fun k -> union_case ~seed:(40 + k) ~k ~n:3) [ 1; 4; 16 ]);
-    ts "grid-method union mirrors the interpreter" (fun () ->
-        let formula = boxes_formula (Rng.create 77) 3 in
-        let a = { (flight_args ~seed:5 ~n:3 formula) with Flight.method_ = "grid" } in
-        let oi = run_ok a in
-        let ov = run_ok { a with Flight.engine = "vm" } in
-        check_streams "grid streams" oi.Flight.points ov.Flight.points;
-        Alcotest.(check int) "grid draw counts" (Rng.draw_count oi.Flight.rng)
-          (Rng.draw_count ov.Flight.rng));
-    ts "rejection-method union mirrors the interpreter" (fun () ->
-        let formula = boxes_formula (Rng.create 78) 2 in
-        let a = { (flight_args ~seed:6 ~n:3 formula) with Flight.method_ = "rejection" } in
-        let oi = run_ok a in
-        let ov = run_ok { a with Flight.engine = "vm" } in
-        check_streams "rejection streams" oi.Flight.points ov.Flight.points;
-        Alcotest.(check int) "rejection draw counts" (Rng.draw_count oi.Flight.rng)
-          (Rng.draw_count ov.Flight.rng));
+    t "union plans: vm mirrors the interpreter bit-for-bit (K = 1, 4, 16)" (fun () ->
+        List.iter
+          (fun k -> same_engine_case ~seed:(40 + k) (boxes_formula (Rng.create (1000 + k)) k))
+          [ 1; 4; 16 ]);
+    t "grid-method union mirrors the interpreter" (fun () ->
+        same_engine_case ~sampler:Convex_obs.Grid_walk ~seed:5 (boxes_formula (Rng.create 77) 3));
+    t "rejection-method union mirrors the interpreter" (fun () ->
+        same_engine_case ~sampler:Convex_obs.Rejection_box ~seed:6
+          (boxes_formula (Rng.create 78) 2));
   ]
 
 (* vm-opt is the interpreter on the rewritten plan: the same seed builds
